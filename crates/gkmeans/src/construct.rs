@@ -91,15 +91,25 @@ impl KnnGraphBuilder {
 
     /// Runs Alg. 3 and returns the graph plus cost statistics.
     pub fn build(&self, data: &VectorSet) -> (KnnGraph, GraphBuildStats) {
-        self.build_with_observer(data, |_| {})
+        self.run(data, None)
     }
 
     /// Runs Alg. 3, invoking `observer` after every round with the round's
-    /// clustering distortion — the hook used to regenerate Fig. 2.
+    /// clustering distortion — the hook used to regenerate Fig. 2.  The
+    /// distortion costs a pass over the data per round that
+    /// [`build`](Self::build) does not pay.
     pub fn build_with_observer(
         &self,
         data: &VectorSet,
         mut observer: impl FnMut(RoundInfo),
+    ) -> (KnnGraph, GraphBuildStats) {
+        self.run(data, Some(&mut observer))
+    }
+
+    fn run(
+        &self,
+        data: &VectorSet,
+        mut observer: Option<&mut dyn FnMut(RoundInfo)>,
     ) -> (KnnGraph, GraphBuildStats) {
         let n = data.len();
         let mut stats = GraphBuildStats::default();
@@ -172,11 +182,13 @@ impl KnnGraphBuilder {
                 }
             }
 
-            observer(RoundInfo {
-                round: round + 1,
-                distortion: clustering.distortion(data),
-                elapsed_secs: start.elapsed().as_secs_f64(),
-            });
+            if let Some(observer) = observer.as_mut() {
+                observer(RoundInfo {
+                    round: round + 1,
+                    distortion: clustering.distortion(data),
+                    elapsed_secs: start.elapsed().as_secs_f64(),
+                });
+            }
         }
 
         stats.elapsed = start.elapsed();

@@ -158,16 +158,24 @@ mod tests {
     fn pipeline_with_external_graph_matches_interface() {
         let data = clustered(250, 6, 5, 3);
         let graph = nn_descent(&data, &NnDescentParams::with_k(6));
-        let params = GkParams::default().kappa(6).iterations(8).seed(4);
-        let outcome = GkMeansPipeline::new(params).cluster_with_graph(
-            &data,
-            5,
-            graph,
-            Duration::from_millis(1),
-        );
-        assert_eq!(outcome.clustering.k(), 5);
-        assert_eq!(outcome.graph_time, Duration::from_millis(1));
-        assert!(outcome.clustering.distortion(&data) < 10.0);
+        // k = 5 over five latent groups has a second optimum (two groups
+        // merged, one cut, distortion ≈ 22 against ≈ 0.7) that about one seed
+        // in four ends in, so the recovery bound is on the median seed.
+        let mut distortions = Vec::new();
+        for seed in 1..=7u64 {
+            let params = GkParams::default().kappa(6).iterations(8).seed(seed);
+            let outcome = GkMeansPipeline::new(params).cluster_with_graph(
+                &data,
+                5,
+                graph.clone(),
+                Duration::from_millis(1),
+            );
+            assert_eq!(outcome.clustering.k(), 5);
+            assert_eq!(outcome.graph_time, Duration::from_millis(1));
+            distortions.push(outcome.clustering.distortion(&data));
+        }
+        distortions.sort_by(f64::total_cmp);
+        assert!(distortions[3] < 10.0, "{distortions:?}");
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn boost_epochs_are_bit_identical_at_any_thread_count() {
 fn boost_fit_with_multi_block_init_is_bit_identical_at_any_thread_count() {
     // Wide enough that the two-means-tree bisections span several fixed
     // 1024-row blocks, so the pool-backed init (blocked assignment merges,
-    // delta-batched boost refinement, blocked margin argmins) genuinely
+    // delta-batched boost refinement, blocked margin passes) genuinely
     // splits — the 700-sample tests above keep the init single-block.
     let data = lattice(2600, 8);
     let graph = exact_graph(&data, 6);
@@ -93,6 +93,56 @@ fn two_means_partition_is_bit_identical_at_any_thread_count() {
     for threads in [2usize, 4, 7] {
         let threaded = TwoMeansTree::new(5).threads(threads).partition(&data, 12);
         assert_eq!(reference, threaded, "two-means threads={threads}");
+    }
+}
+
+#[test]
+fn two_means_adjustment_with_tied_margins_is_bit_identical_at_any_thread_count() {
+    use gkmeans::two_means::TwoMeansTree;
+    use vecstore::sample::rng_from_seed;
+
+    // 3000 copies of one point with 200 copies of another sprinkled through
+    // them: 2-means cuts the 200 off, so the equal-size adjustment has to move
+    // 1400 samples — more than one fixed 1024-row block — whose margins are
+    // all exactly equal.  The tie order (member position) decides everything.
+    let rows: Vec<Vec<f32>> = (0..3200)
+        .map(|i| {
+            if i % 16 == 5 {
+                vec![10.0, 10.0]
+            } else {
+                vec![0.0, 0.0]
+            }
+        })
+        .collect();
+    let data = VectorSet::from_rows(rows).unwrap();
+    let members: Vec<u32> = (0..3200u32).rev().collect();
+    let bisect = |threads: usize| {
+        TwoMeansTree::new(3)
+            .threads(threads)
+            .bisect_equal(&data, &members, &mut rng_from_seed(3))
+    };
+    let (left, right) = bisect(1);
+    assert_eq!((left.len(), right.len()), (1600, 1600));
+    // The half holding the 200 outliers gained the 1400 tied samples that
+    // come first in member order, and both halves kept that order.
+    let with_outliers = if left.contains(&5) { &left } else { &right };
+    let mut tied_taken = 0;
+    let expected: Vec<u32> = members
+        .iter()
+        .copied()
+        .filter(|&s| {
+            let tied = s % 16 != 5;
+            tied_taken += usize::from(tied);
+            !tied || tied_taken <= 1400
+        })
+        .collect();
+    assert_eq!(with_outliers, &expected);
+    for threads in [2usize, 4, 7] {
+        assert_eq!(
+            bisect(threads),
+            (left.clone(), right.clone()),
+            "threads={threads}"
+        );
     }
 }
 

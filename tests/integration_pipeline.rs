@@ -39,57 +39,79 @@ fn full_pipeline_on_sift_like_data_beats_random_partition() {
     );
 }
 
+/// Distortion of GK-means relative to BKM and to Mini-Batch, one pair of
+/// ratios per seed in 1..=7, each method at the same seed and iteration budget.
+fn quality_ratios(n: usize, k: usize) -> (Vec<f64>, Vec<f64>) {
+    let w = workload(n, PaperDataset::Glove1M, 3);
+    let iterations = 12;
+    let mut gk_vs_bkm = Vec::new();
+    let mut gk_vs_mb = Vec::new();
+    for seed in 1..=7u64 {
+        // κ and τ stay in the same proportion to k as the paper's setup (κ = 50
+        // at k = 10 000 with a τ = 10 graph); at this reduced scale a too-small
+        // κ starves the candidate sets and the comparison stops being meaningful.
+        let gk = GkMeansPipeline::new(
+            GkParams::default()
+                .kappa(25)
+                .xi(40)
+                .tau(8)
+                .iterations(iterations)
+                .seed(seed)
+                .record_trace(false),
+        )
+        .cluster(&w.data, k);
+        let gk_e = average_distortion(&w.data, &gk.clustering.labels, &gk.clustering.centroids);
+
+        let cfg = KMeansConfig::with_k(k)
+            .max_iters(iterations)
+            .seed(seed)
+            .record_trace(false);
+        let bkm = BoostKMeans::new(cfg).fit(&w.data);
+        let bkm_e = average_distortion(&w.data, &bkm.labels, &bkm.centroids);
+        let mb = MiniBatchKMeans::new(cfg).batch_size(256).fit(&w.data);
+        let mb_e = average_distortion(&w.data, &mb.labels, &mb.centroids);
+
+        gk_vs_bkm.push(gk_e / bkm_e);
+        gk_vs_mb.push(gk_e / mb_e);
+    }
+    (gk_vs_bkm, gk_vs_mb)
+}
+
+fn median(v: &[f64]) -> f64 {
+    let mut v = v.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 #[test]
 fn pipeline_quality_tracks_boost_kmeans_and_beats_minibatch() {
     // The paper's central quality claim (Fig. 5): GK-means is close to BKM and
-    // clearly better than Mini-Batch at the same iteration budget.
-    let w = workload(2_500, PaperDataset::Glove1M, 3);
-    let k = 25;
-    let iterations = 12;
-
-    // Seed chosen for the workspace RNG (offline xoshiro-based StdRng): the
-    // GK-means-vs-BKM gap fluctuates a few percent across seeds.
-    // κ and τ stay in the same proportion to k as the paper's setup (κ = 50 at
-    // k = 10 000 with a τ = 10 graph); at this reduced scale a too-small κ
-    // starves the candidate sets and the comparison stops being meaningful.
-    let gk = GkMeansPipeline::new(
-        GkParams::default()
-            .kappa(25)
-            .xi(40)
-            .tau(8)
-            .iterations(iterations)
-            .seed(7)
-            .record_trace(false),
-    )
-    .cluster(&w.data, k);
-    let gk_e = average_distortion(&w.data, &gk.clustering.labels, &gk.clustering.centroids);
-
-    let bkm = BoostKMeans::new(
-        KMeansConfig::with_k(k)
-            .max_iters(iterations)
-            .seed(7)
-            .record_trace(false),
-    )
-    .fit(&w.data);
-    let bkm_e = average_distortion(&w.data, &bkm.labels, &bkm.centroids);
-
-    let mb = MiniBatchKMeans::new(
-        KMeansConfig::with_k(k)
-            .max_iters(iterations)
-            .seed(7)
-            .record_trace(false),
-    )
-    .batch_size(256)
-    .fit(&w.data);
-    let mb_e = average_distortion(&w.data, &mb.labels, &mb.centroids);
-
+    // clearly better than Mini-Batch at the same iteration budget.  The claim
+    // is about the typical run, not one seed's luck: medians over seven seeds.
+    //
+    // k = 25 over the data's 16 latent components: every method's distortion
+    // is quantised by how many components a run happens to merge, so single
+    // seeds range from 0.8 to 1.25 and only the median carries the bound.
+    let (gk_vs_bkm, gk_vs_mb) = quality_ratios(2_500, 25);
     assert!(
-        gk_e <= bkm_e * 1.20 + 1e-9,
-        "GK-means ({gk_e}) should stay within ~20% of BKM ({bkm_e})"
+        median(&gk_vs_bkm) <= 1.20,
+        "k = 25: GK-means should stay within ~20% of BKM on the median seed: {gk_vs_bkm:?}"
     );
     assert!(
-        gk_e < mb_e,
-        "GK-means ({gk_e}) should beat Mini-Batch ({mb_e})"
+        median(&gk_vs_mb) < 1.0,
+        "k = 25: GK-means should beat Mini-Batch on the median seed: {gk_vs_mb:?}"
+    );
+
+    // k well above the number of components, as in the paper's runs: no merged
+    // components, and the gap to BKM closes to a few percent on every seed.
+    let (gk_vs_bkm, gk_vs_mb) = quality_ratios(1_600, 64);
+    assert!(
+        median(&gk_vs_bkm) <= 1.05,
+        "k = 64: GK-means should stay within ~5% of BKM on the median seed: {gk_vs_bkm:?}"
+    );
+    assert!(
+        median(&gk_vs_mb) < 1.0,
+        "k = 64: GK-means should beat Mini-Batch on the median seed: {gk_vs_mb:?}"
     );
 }
 

@@ -174,6 +174,52 @@ proptest! {
         prop_assert!(max <= min.max(1) * 4, "sizes {:?}", sizes);
     }
 
+    #[test]
+    fn two_means_bisection_is_balanced_complete_and_thread_invariant(
+        m in 2usize..=3000,
+        kind in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        // kind 0: all points identical; 1: coordinates in {0, 1}, so margins
+        // tie heavily; 2: spread-out integers.
+        let span = [1u64, 2, 50][kind];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let rows: Vec<Vec<f32>> = (0..m)
+            .map(|_| {
+                (0..3)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state % span) as f32
+                    })
+                    .collect()
+            })
+            .collect();
+        let vs = VectorSet::from_rows(rows).unwrap();
+        // Member order differs from id order, so slots and ids cannot be confused.
+        let members: Vec<u32> = (0..m as u32).rev().collect();
+        let bisect = |threads: usize| {
+            TwoMeansTree::new(seed).threads(threads).bisect_equal(
+                &vs,
+                &members,
+                &mut vecstore::sample::rng_from_seed(seed),
+            )
+        };
+        let (left, right) = bisect(1);
+        prop_assert!(left.len().abs_diff(right.len()) <= 1, "{} vs {}", left.len(), right.len());
+        // Both halves are subsequences of `members` (descending ids) and
+        // together hold every member exactly once.
+        prop_assert!(left.windows(2).all(|w| w[0] > w[1]));
+        prop_assert!(right.windows(2).all(|w| w[0] > w[1]));
+        let mut all: Vec<u32> = left.iter().chain(&right).copied().collect();
+        all.sort_unstable();
+        prop_assert!(all.iter().copied().eq(0..m as u32));
+        for threads in [2usize, 4, 7] {
+            prop_assert_eq!(bisect(threads), (left.clone(), right.clone()));
+        }
+    }
+
     // --------------------------------------------------------------- baselines
     #[test]
     fn lloyd_distortion_never_increases_along_the_trace(rows in dataset(30, 4), k in 2usize..5) {
