@@ -64,8 +64,9 @@
 //!   response — the CI gate) plus the p99 over everything answered;
 //! * `obs_overhead` in the JSON — the same closed-loop workload against a
 //!   metrics-disabled server and a fully metered one (registry counters,
-//!   per-stage histograms, slow-query ring), in interleaved A/B rounds; the
-//!   CI gate holds the enabled p50 at ≤ 1.05× the disabled p50;
+//!   per-stage histograms, slow-query ring), in back-to-back A/B rounds that
+//!   alternate which variant goes first; the CI gate holds the median
+//!   per-round enabled/disabled p50 ratio at ≤ 1.05×;
 //!
 //! plus the durability tier:
 //!
@@ -739,13 +740,7 @@ fn main() {
         // the next request, so the server runs at its natural batch rhythm.
         let mut server = Server::start(
             Arc::new(IvfBackend::new(index.clone(), Some(epoch_threads))),
-            ServerConfig {
-                batcher: BatcherConfig {
-                    max_delay: Duration::from_millis(1),
-                    ..BatcherConfig::default()
-                },
-                ..ServerConfig::default()
-            },
+            ServerConfig::default(),
         )
         .expect("bind the closed-loop server");
         let addr = server.local_addr();
@@ -798,7 +793,6 @@ fn main() {
             Arc::new(IvfBackend::new(index, Some(epoch_threads))),
             ServerConfig {
                 batcher: BatcherConfig {
-                    max_delay: Duration::from_millis(1),
                     queue_cap: 64,
                     resume_depth: 16,
                     ..BatcherConfig::default()
@@ -908,20 +902,24 @@ fn main() {
 
     // Observability overhead: the identical closed-loop workload against a
     // metrics-disabled server and a metrics-enabled one (registry + per-stage
-    // histograms + slow-query ring all live), in interleaved A/B rounds so
+    // histograms + slow-query ring all live), in back-to-back A/B rounds so
     // thermal drift and scheduler noise hit both variants equally.  The CI
-    // gate holds the enabled p50 at ≤ 1.05× the disabled p50: an event is
-    // one relaxed atomic, so instrumentation must stay in the noise.
+    // gate holds the median per-round enabled/disabled p50 ratio at ≤ 1.05×:
+    // an event is one relaxed atomic, so instrumentation must stay in the
+    // noise.
     let obs_overhead_json = {
         use obs::ObsHandle;
-        use serve::batcher::{BatcherConfig, IvfBackend};
+        use serve::batcher::IvfBackend;
         use serve::client::Client;
         use serve::protocol::SearchRequest;
         use serve::server::{Server, ServerConfig};
         use std::sync::Arc;
         use std::time::Duration;
 
-        const ROUNDS: usize = 4; // interleaved rounds per variant
+        // Without a per-request coalesce timer a request takes ≈ 0.48 ms,
+        // not ≈ 1.4 ms, so the gate's 5 % is ≈ 24 µs: the rounds the old
+        // time budget now buys are spent on resolving that.
+        const ROUNDS: usize = 16; // interleaved rounds per variant
         const CLIENTS: usize = 2;
         const REQUESTS: usize = 60; // per client per round
         const QPR: usize = 8; // queries per request
@@ -936,13 +934,7 @@ fn main() {
         let run_round = |obs: &ObsHandle| -> Vec<f64> {
             let mut server = Server::start_obs(
                 Arc::new(IvfBackend::new(index.clone(), Some(epoch_threads))),
-                ServerConfig {
-                    batcher: BatcherConfig {
-                        max_delay: Duration::from_millis(1),
-                        ..BatcherConfig::default()
-                    },
-                    ..ServerConfig::default()
-                },
+                ServerConfig::default(),
                 obs,
             )
             .expect("bind the overhead server");
@@ -980,20 +972,38 @@ fn main() {
             latencies
         };
 
+        let pct = |sorted: &[f64], p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
+        let sorted = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v
+        };
         let mut plain: Vec<f64> = Vec::new();
         let mut metered: Vec<f64> = Vec::new();
-        for _ in 0..ROUNDS {
-            plain.extend(run_round(&ObsHandle::disabled()));
-            metered.extend(run_round(&ObsHandle::enabled()));
+        let mut round_ratios: Vec<f64> = Vec::new();
+        for round in 0..ROUNDS {
+            // Alternate which variant goes first, so whatever a round
+            // inherits from the one before it lands on both equally.
+            let (off, on) = if round % 2 == 0 {
+                let off = run_round(&ObsHandle::disabled());
+                (off, run_round(&ObsHandle::enabled()))
+            } else {
+                let on = run_round(&ObsHandle::enabled());
+                (run_round(&ObsHandle::disabled()), on)
+            };
+            let (off, on) = (sorted(off), sorted(on));
+            round_ratios.push(pct(&on, 0.50) / pct(&off, 0.50).max(1e-12));
+            plain.extend(off);
+            metered.extend(on);
         }
-        plain.sort_by(f64::total_cmp);
-        metered.sort_by(f64::total_cmp);
-        let pct = |sorted: &[f64], p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
+        let (plain, metered) = (sorted(plain), sorted(metered));
         let plain_p50 = pct(&plain, 0.50);
         let metered_p50 = pct(&metered, 0.50);
         let plain_p99 = pct(&plain, 0.99);
         let metered_p99 = pct(&metered, 0.99);
-        let p50_ratio = metered_p50 / plain_p50.max(1e-12);
+        // The gated figure is the median of the per-round ratios: each round
+        // pairs the two variants back to back, so slow drift (placement,
+        // frequency) cancels inside a pair instead of landing on one side.
+        let p50_ratio = pct(&sorted(round_ratios), 0.50);
 
         println!(
             "obs_overhead           closed {CLIENTS} clients x {REQUESTS} reqs x {ROUNDS} rounds: \

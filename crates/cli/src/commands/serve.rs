@@ -31,7 +31,6 @@ serve --index <index.ivf> [--addr <host:port>]   (default 127.0.0.1:0 —
                                   attaches a crash-consistent journal beside
                                   the checkpoint; implied when <index>.wal
                                   already exists — recovery replays it)
-      [--max-delay-ms <ms>]       (batching window, default 2)
       [--max-batch <n>]           (queries per backend call, default 64)
       [--queue-cap <n>]           (admission bound in queued queries;
                                   beyond it requests are shed OVERLOADED)
@@ -64,7 +63,6 @@ const POLL_TICK: Duration = Duration::from_millis(50);
 pub fn run(args: &Args) -> Result<(), CliError> {
     let index_path = args.required("index")?;
     let addr = args.string_or("addr", "127.0.0.1:0");
-    let max_delay_ms = args.u64_or("max-delay-ms", 2)?;
     let max_batch = args.usize_or("max-batch", 64)?;
     let defaults = BatcherConfig::default();
     let queue_cap = args.usize_or("queue-cap", defaults.queue_cap)?;
@@ -88,7 +86,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         addr: addr.clone(),
         batcher: BatcherConfig {
             max_batch,
-            max_delay: Duration::from_millis(max_delay_ms),
             queue_cap,
             resume_depth,
         },

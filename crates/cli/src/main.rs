@@ -262,8 +262,6 @@ mod tests {
             "127.0.0.1:0",
             "--port-file",
             &port_file,
-            "--max-delay-ms",
-            "1",
             "--threads",
             "2",
         ]

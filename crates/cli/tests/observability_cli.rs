@@ -115,8 +115,6 @@ fn serve_trace_stats_scrape_shutdown_round_trip() {
             "0",
             "--port-file",
             port_s,
-            "--max-delay-ms",
-            "1",
             "--threads",
             "2",
         ])

@@ -2,12 +2,14 @@
 //!
 //! This crate is the traffic-facing layer of the workspace: a hand-rolled
 //! `std::net` TCP server speaking the checksummed [`protocol`] (GKSQ frames),
-//! a [`batcher`] that coalesces concurrent requests into the IVF engine's
-//! 64-query blocks under a latency deadline, and a [`client`] with
+//! a [`batcher`] that groups whatever is queued into the IVF engine's
+//! 64-query blocks whenever the backend is free (an idle server answers a
+//! lone request at once), and a [`client`] with
 //! classification-aware retries.  Robustness is the design centre:
 //!
-//! * **Deadlines** — per-request budgets propagate into the batch schedule;
-//!   expired requests are answered `DEADLINE_EXCEEDED`, never dropped.
+//! * **Deadlines** — a per-request budget bounds how long the request may
+//!   queue behind a busy backend; expired requests are answered
+//!   `DEADLINE_EXCEEDED`, never dropped.
 //! * **Backpressure** — a bounded admission queue sheds `OVERLOADED` with
 //!   two-watermark hysteresis instead of queueing without bound.
 //! * **Hostile clients** — frames are length-capped before allocation and
@@ -30,7 +32,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use std::time::Duration;
-//! use serve::batcher::{BatcherConfig, SearchBackend};
+//! use serve::batcher::SearchBackend;
 //! use serve::client::Client;
 //! use serve::protocol::SearchRequest;
 //! use serve::server::{Server, ServerConfig};
@@ -49,10 +51,7 @@
 //!     }
 //! }
 //!
-//! let mut server = Server::start(Arc::new(Nearest), ServerConfig {
-//!     batcher: BatcherConfig { max_delay: Duration::from_millis(1), ..Default::default() },
-//!     ..Default::default()
-//! }).unwrap();
+//! let mut server = Server::start(Arc::new(Nearest), ServerConfig::default()).unwrap();
 //! let mut client = Client::connect(server.local_addr(), Duration::from_secs(5)).unwrap();
 //! let results = client.search(&SearchRequest {
 //!     id: 1, deadline_ms: 0, r: 3, nprobe: 1, dim: 2, queries: vec![0.5, 0.5],

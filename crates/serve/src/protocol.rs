@@ -251,18 +251,21 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Writes one frame (header, checksum, payload) to `w`.
+/// Writes one frame (header, checksum, payload) to `w` **in a single
+/// write**.  On a `TCP_NODELAY` socket every write is its own segment and
+/// wakes the peer once: header and payload written apart wake the reading
+/// thread twice per frame — the first time only to find 16 bytes and go back
+/// to sleep — which doubles the context switches of every request.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    header[6] = kind as u8;
-    header[7] = 0;
-    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = crc32c_append(crc32c_append(!0u32, &header[..12]), payload) ^ !0u32;
-    header[12..16].copy_from_slice(&crc.to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&VERSION.to_le_bytes());
+    frame.extend_from_slice(&[kind as u8, 0]);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let crc = crc32c_append(crc32c_append(!0u32, &frame), payload) ^ !0u32;
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -63,7 +63,7 @@ use crate::protocol::{
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Batcher knobs (deadline, admission bounds).
+    /// Batcher knobs (batch size, admission bounds).
     pub batcher: BatcherConfig,
     /// Connections beyond this are answered `OVERLOADED` and closed.
     pub max_connections: usize,

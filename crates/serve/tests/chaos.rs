@@ -19,7 +19,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -66,10 +66,6 @@ fn fixture_index(n: usize, k: usize, seed: u64) -> (VectorSet, IvfIndex) {
 
 fn quick_config() -> ServerConfig {
     ServerConfig {
-        batcher: BatcherConfig {
-            max_delay: Duration::from_millis(1),
-            ..BatcherConfig::default()
-        },
         idle_timeout: Duration::from_secs(10),
         frame_timeout: Duration::from_millis(300),
         ..ServerConfig::default()
@@ -302,7 +298,6 @@ fn deadline_storm_answers_every_request() {
                 // load of 8 synchronous clients, so requests genuinely queue
                 // behind a busy backend and their 1–3 ms budgets expire.
                 max_batch: 2,
-                max_delay: Duration::from_millis(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -402,7 +397,6 @@ fn overload_flood_sheds_and_recovers() {
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: 4,
-                max_delay: Duration::from_micros(200),
                 queue_cap: 8,
                 resume_depth: 2,
             },
@@ -579,7 +573,6 @@ fn ctl_frame_shutdown_drains_in_flight_work() {
         ServerConfig {
             batcher: BatcherConfig {
                 max_batch: 1,
-                max_delay: Duration::from_millis(1),
                 ..BatcherConfig::default()
             },
             ..ServerConfig::default()
@@ -716,4 +709,81 @@ fn connection_cap_refuses_with_typed_response() {
     let mut server = server;
     server.shutdown();
     assert!(server.stats().connections_refused >= 1);
+}
+
+/// Saturation: batching must come from load now that no per-request timer
+/// makes it.
+/// Sixteen closed-loop one-query clients share one executor whose every call
+/// costs the same ≈ 200 µs whatever it carries, so the backend is the
+/// bottleneck from the first request on: while one call runs, the other
+/// clients' requests can only queue, and the next call takes them together.
+/// The bar (mean batch > 2 of a possible 16) needs no timing luck — it only
+/// fails if requests queued behind a busy backend leave one by one.
+#[test]
+fn saturated_backend_batches_without_a_timer() {
+    const CLIENTS: u64 = 16;
+    const PER_CLIENT: u64 = 50;
+
+    struct FixedCostBackend(Arc<dyn SearchBackend>);
+    impl SearchBackend for FixedCostBackend {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn search_batch(
+            &self,
+            queries: &VectorSet,
+            r: usize,
+            nprobe: usize,
+        ) -> vecstore::Result<Vec<Vec<Neighbor>>> {
+            let until = Instant::now() + Duration::from_micros(200);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            self.0.search_batch(queries, r, nprobe)
+        }
+    }
+    let (_, index) = fixture_index(128, 4, 91);
+    let backend = FixedCostBackend(Arc::new(IvfBackend::new(index, Some(1))));
+    let server = Server::start(Arc::new(backend), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let queries = fixture_index(64, 4, 93).0;
+
+    let start = Arc::new(Barrier::new(CLIENTS as usize));
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let queries = queries.clone();
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
+                start.wait();
+                for i in 0..PER_CLIENT {
+                    let req = request(t * 1000 + i, &queries, (i as usize) % 64, 1);
+                    assert_eq!(client.search(&req).unwrap().len(), 1);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    let mut server = server;
+    server.shutdown();
+    let stats = server.stats().batcher;
+    let requests = CLIENTS * PER_CLIENT;
+    assert_eq!(
+        (stats.accepted, stats.served),
+        (requests, requests),
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.shed + stats.deadline_expired + stats.internal_errors,
+        0,
+        "{stats:?}"
+    );
+    assert!(
+        stats.batches < requests / 2,
+        "{} batches for {requests} requests: queued requests are not leaving together",
+        stats.batches
+    );
 }

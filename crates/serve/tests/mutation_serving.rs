@@ -20,7 +20,6 @@ use std::time::Duration;
 
 use ivf::{IvfIndex, MutableStore};
 use rand::Rng;
-use serve::batcher::BatcherConfig;
 use serve::client::{Client, ClientError};
 use serve::protocol::{SearchRequest, Status};
 use serve::server::{Server, ServerConfig};
@@ -65,16 +64,6 @@ fn fixture_index(n: usize, k: usize, seed: u64) -> IvfIndex {
     IvfIndex::build(&data, &centroids, &labels).unwrap()
 }
 
-fn quick_config() -> ServerConfig {
-    ServerConfig {
-        batcher: BatcherConfig {
-            max_delay: Duration::from_millis(1),
-            ..BatcherConfig::default()
-        },
-        ..ServerConfig::default()
-    }
-}
-
 fn search_one(client: &mut Client, id: u64, query: &[f32], r: u16) -> Vec<u32> {
     let results = client
         .search(&SearchRequest {
@@ -97,7 +86,7 @@ fn acked_mutations_are_findable_and_survive_a_drain() {
     let backend = Arc::new(MutableIvfBackend::new(store, Some(1)));
     let mut server = Server::start_mutable(
         Arc::clone(&backend) as Arc<dyn serve::MutableBackend>,
-        quick_config(),
+        ServerConfig::default(),
     )
     .unwrap();
     let mut client = Client::connect(server.local_addr(), Duration::from_secs(5)).unwrap();
@@ -144,7 +133,7 @@ fn compact_hot_swaps_under_concurrent_search_load() {
     let backend = Arc::new(MutableIvfBackend::new(store, Some(1)));
     let mut server = Server::start_mutable(
         Arc::clone(&backend) as Arc<dyn serve::MutableBackend>,
-        quick_config(),
+        ServerConfig::default(),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -218,7 +207,7 @@ fn compact_hot_swaps_under_concurrent_search_load() {
 fn immutable_server_answers_mutations_bad_request() {
     let index = fixture_index(64, 4, 5);
     let backend = IvfBackend::new(index, Some(1));
-    let mut server = Server::start(Arc::new(backend), quick_config()).unwrap();
+    let mut server = Server::start(Arc::new(backend), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), Duration::from_secs(5)).unwrap();
 
     let err = client.insert(1, DIM as u32, vec![1.0; DIM]).unwrap_err();

@@ -12,7 +12,6 @@ use std::time::Duration;
 use ivf::{IvfIndex, IvfSearchParams};
 use obs::{trace::next_trace_id, ObsHandle, StageTimings};
 use rand::Rng;
-use serve::batcher::BatcherConfig;
 use serve::client::{Client, ClientError};
 use serve::metrics::MetricsServer;
 use serve::protocol::{SearchRequest, StatsFormat, Status};
@@ -50,20 +49,10 @@ fn fixture_index(n: usize, k: usize, seed: u64) -> (VectorSet, IvfIndex) {
     (data, index)
 }
 
-fn quick_config() -> ServerConfig {
-    ServerConfig {
-        batcher: BatcherConfig {
-            max_delay: Duration::from_millis(1),
-            ..BatcherConfig::default()
-        },
-        ..ServerConfig::default()
-    }
-}
-
 fn start_obs_server(threads: usize, obs: &ObsHandle) -> (Server, IvfIndex) {
     let (_, index) = fixture_index(256, 8, 42);
     let backend = IvfBackend::new(index.clone(), Some(threads));
-    let server = Server::start_obs(Arc::new(backend), quick_config(), obs).unwrap();
+    let server = Server::start_obs(Arc::new(backend), ServerConfig::default(), obs).unwrap();
     (server, index)
 }
 
@@ -201,7 +190,7 @@ fn stats_frame_agrees_with_drain_summary_counters() {
 fn stats_frame_is_rejected_without_observability() {
     let (_, index) = fixture_index(256, 8, 42);
     let backend = IvfBackend::new(index, Some(2));
-    let mut server = Server::start(Arc::new(backend), quick_config()).unwrap();
+    let mut server = Server::start(Arc::new(backend), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), Duration::from_secs(5)).unwrap();
     match client.stats(StatsFormat::Human) {
         Err(ClientError::Rejected { status, .. }) => assert_eq!(status, Status::BadRequest),
