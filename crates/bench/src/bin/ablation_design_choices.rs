@@ -2,10 +2,9 @@
 //!
 //! 1. boost-k-means vs traditional moves inside GK-means (GK-means vs
 //!    GK-means⁻, Fig. 4's configuration study) at an identical graph;
-//! 2. cross-round pair deduplication in Alg. 3 on vs off (cost, not quality);
-//! 3. the two-means tree's boost refinement of each bisection on vs off
+//! 2. the two-means tree's boost refinement of each bisection on vs off
 //!    (initial-partition quality feeding Alg. 2);
-//! 4. sequential vs rayon-parallel Alg. 3 refinement (identical graphs,
+//! 3. sequential vs rayon-parallel Alg. 3 refinement (identical graphs,
 //!    wall-clock only — the parallel path is never used in measured runs).
 //!
 //! ```bash
@@ -20,8 +19,6 @@ use datagen::{PaperDataset, Workload};
 use eval::{average_distortion, Table};
 use gkmeans::two_means::TwoMeansTree;
 use gkmeans::{GkMeans, GkMode, GkParams, KnnGraphBuilder, ParallelKnnGraphBuilder};
-use knn_graph::brute::exact_graph;
-use knn_graph::recall::graph_recall_at_1;
 use vecstore::VectorSet;
 
 fn main() {
@@ -63,38 +60,8 @@ fn main() {
     print!("{}", mode_table.render());
 
     // ------------------------------------------------------------------ (2)
-    let mut dedup_table = Table::new(
-        "ablation 2: cross-round pair deduplication in Alg. 3",
-        &[
-            "dedup",
-            "refine distance evals",
-            "build (s)",
-            "recall@1 vs exact",
-        ],
-    );
-    let exact = exact_small(&w.data, 5_000, 10);
-    for dedup in [true, false] {
-        let start = Instant::now();
-        let (g, stats) = KnnGraphBuilder::new(params.dedup_pairs(dedup))
-            .graph_k(10)
-            .build(&w.data);
-        let secs = start.elapsed().as_secs_f64();
-        let recall = exact
-            .as_ref()
-            .map(|e| graph_recall_at_1(&g, e))
-            .map_or("n/a".to_string(), |r| format!("{r:.3}"));
-        dedup_table.row(&[
-            dedup.to_string(),
-            stats.refine_distance_evals.to_string(),
-            format!("{secs:.2}"),
-            recall,
-        ]);
-    }
-    print!("{}", dedup_table.render());
-
-    // ------------------------------------------------------------------ (3)
     let mut init_table = Table::new(
-        "ablation 3: boost refinement inside the two-means tree bisections",
+        "ablation 2: boost refinement inside the two-means tree bisections",
         &["boost refinement", "initial-partition E"],
     );
     for boost in [true, false] {
@@ -110,9 +77,9 @@ fn main() {
     }
     print!("{}", init_table.render());
 
-    // ------------------------------------------------------------------ (4)
+    // ------------------------------------------------------------------ (3)
     let mut par_table = Table::new(
-        "ablation 4: sequential vs parallel Alg. 3 refinement (identical output)",
+        "ablation 3: sequential vs parallel Alg. 3 refinement (identical output)",
         &["builder", "build (s)", "graph updates"],
     );
     let start = Instant::now();
@@ -136,10 +103,4 @@ fn main() {
         g_seq.neighbors(i).ids().collect::<Vec<_>>() == g_par.neighbors(i).ids().collect::<Vec<_>>()
     });
     println!("parallel output identical to sequential: {identical}");
-}
-
-/// Exact graph for recall, but only when the dataset is small enough for the
-/// O(n²·d) cost to stay in the seconds range.
-fn exact_small(data: &VectorSet, limit: usize, k: usize) -> Option<knn_graph::KnnGraph> {
-    (data.len() <= limit).then(|| exact_graph(data, k))
 }

@@ -17,10 +17,31 @@
 //! unlike NN-Descent's — carries the intermediate clustering structure, which
 //! is why GK-means converges to slightly lower distortion with it (Fig. 4,
 //! Tab. 2).
+//!
+//! # No visited-pair set
+//!
+//! Alg. 3 line 10 compares a pair only "if <i,j> is NOT visited", that is, not
+//! already compared in an earlier round.  Here every in-cluster pair is
+//! scored every round instead, because offering a pair again can never change
+//! the graph:
+//!
+//! * the anchor of a pair is always its lower sample index (member lists are
+//!   built in index order), so a pair's distance has the same bits every
+//!   round — and the same bits as the random initial graph's `l2_sq`, the
+//!   pair kernel being symmetric to the bit;
+//! * [`NeighborList::insert`](knn_graph::NeighborList::insert) rejects a
+//!   candidate whose distance is not below the list's upper bound, and that
+//!   bound never rises once the list is full;
+//! * it rejects an id the list already holds.
+//!
+//! So an offer rejected once is rejected again, and an accepted one is either
+//! still in its list (a duplicate) or was pushed out by entries that keep the
+//! bound at or below its distance.  The graph is bit for bit the one a
+//! visited set would produce; scoring a pair again costs one kernel call,
+//! less than hashing it into a set did.
 
 use std::time::{Duration, Instant};
 
-use fxhash::FxHashSet;
 use vecstore::kernels;
 use vecstore::VectorSet;
 
@@ -35,7 +56,8 @@ use crate::params::GkParams;
 pub struct GraphBuildStats {
     /// Number of executed rounds (== τ unless the caller stopped early).
     pub rounds: usize,
-    /// Total number of pairwise distance evaluations in the refinement steps.
+    /// Pairwise distance evaluations in the refinement steps: every scored
+    /// pair, `Σ m(m − 1)/2` over the clusters of `m` members of every round.
     pub refine_distance_evals: u64,
     /// Total number of candidate-cluster evaluations inside the GK-means calls.
     pub clustering_distance_evals: u64,
@@ -61,7 +83,7 @@ pub struct RoundInfo {
 #[derive(Clone, Debug)]
 pub struct KnnGraphBuilder {
     /// Pipeline parameters; the fields used here are `xi`, `tau`, `kappa`,
-    /// `seed`, `mode` and `dedup_pairs`.
+    /// `seed` and `mode`.
     pub params: GkParams,
     /// Neighbour-list size of the produced graph; defaults to `params.kappa`.
     pub graph_k: usize,
@@ -134,10 +156,6 @@ impl KnnGraphBuilder {
             .record_trace(false)
             .kappa(self.params.kappa.min(self.graph_k));
 
-        // The visited-pair set sits inside the innermost refinement loop;
-        // Fx hashing keeps the membership test far cheaper than SipHash.
-        let mut visited: FxHashSet<u64> = FxHashSet::default();
-        let mut partners: Vec<u32> = Vec::new();
         let mut dists: Vec<f32> = Vec::new();
         let dim = data.dim();
         for round in 0..self.params.tau {
@@ -148,22 +166,15 @@ impl KnnGraphBuilder {
             stats.clustering_distance_evals += clustering.distance_evals;
 
             // Alg. 3 lines 8–14: exhaustive comparison inside every cluster.
-            // For each anchor sample the non-deduplicated partners are scored
-            // in one batched gather, then merged into the graph in the same
-            // order the scalar loop used.
+            // For each anchor sample its later co-members are scored in one
+            // batched gather, then merged into the graph in member order.
             let mut members: Vec<Vec<u32>> = vec![Vec::new(); k0];
             for (i, &label) in clustering.labels.iter().enumerate() {
                 members[label].push(i as u32);
             }
             for cluster in &members {
                 for (a_idx, &i) in cluster.iter().enumerate() {
-                    partners.clear();
-                    for &j in cluster.iter().skip(a_idx + 1) {
-                        if self.params.dedup_pairs && !visited.insert(pair_key(i, j)) {
-                            continue;
-                        }
-                        partners.push(j);
-                    }
+                    let partners = &cluster[a_idx + 1..];
                     if partners.is_empty() {
                         continue;
                     }
@@ -172,7 +183,7 @@ impl KnnGraphBuilder {
                         data.row(i as usize),
                         data.as_flat(),
                         dim,
-                        &partners,
+                        partners,
                         &mut dists,
                     );
                     stats.refine_distance_evals += partners.len() as u64;
@@ -196,16 +207,11 @@ impl KnnGraphBuilder {
     }
 }
 
-/// Canonical key of an unordered pair for the visited-set (Alg. 3 line 10).
-#[inline]
-fn pair_key(i: u32, j: u32) -> u64 {
-    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-    (u64::from(hi) << 32) | u64::from(lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
     use knn_graph::brute::exact_graph;
     use knn_graph::recall::graph_recall_at_1;
     use rand::Rng;
@@ -225,13 +231,6 @@ mod tests {
             rows.push(row);
         }
         VectorSet::from_rows(rows).unwrap()
-    }
-
-    #[test]
-    fn pair_key_is_symmetric_and_unique() {
-        assert_eq!(pair_key(3, 9), pair_key(9, 3));
-        assert_ne!(pair_key(3, 9), pair_key(3, 10));
-        assert_ne!(pair_key(0, 1), pair_key(1, 2));
     }
 
     #[test]
@@ -272,20 +271,92 @@ mod tests {
         );
     }
 
+    /// What the reference below saw: every round's in-cluster pair count
+    /// `Σ m(m − 1)/2`, and how many clusters had a single member.
+    struct ReferenceCounts {
+        all_pairs: u64,
+        singletons: usize,
+    }
+
+    /// Alg. 3 as the paper writes it: a pair is compared only if no earlier
+    /// round compared it, remembered in a visited set.
+    fn build_with_visited_set(
+        params: GkParams,
+        graph_k: usize,
+        data: &VectorSet,
+    ) -> (KnnGraph, ReferenceCounts) {
+        let builder = KnnGraphBuilder::new(params).graph_k(graph_k);
+        let n = data.len();
+        let mut graph = random_graph(data, builder.graph_k.min(n - 1), params.seed);
+        let k0 = builder.construction_clusters(n);
+        let inner = params
+            .iterations(1)
+            .record_trace(false)
+            .kappa(params.kappa.min(builder.graph_k));
+        let mut visited: HashSet<(u32, u32)> = HashSet::new();
+        let mut counts = ReferenceCounts {
+            all_pairs: 0,
+            singletons: 0,
+        };
+        for round in 0..params.tau {
+            let clustering =
+                GkMeans::new(inner.seed(params.seed ^ (round as u64 + 1))).fit(data, k0, &graph);
+            let mut members: Vec<Vec<u32>> = vec![Vec::new(); k0];
+            for (i, &label) in clustering.labels.iter().enumerate() {
+                members[label].push(i as u32);
+            }
+            for cluster in &members {
+                let m = cluster.len() as u64;
+                counts.all_pairs += m * m.saturating_sub(1) / 2;
+                counts.singletons += usize::from(m == 1);
+                for (a_idx, &i) in cluster.iter().enumerate() {
+                    for &j in &cluster[a_idx + 1..] {
+                        if visited.insert((i, j)) {
+                            let d = l2_sq(data.row(i as usize), data.row(j as usize));
+                            graph.update_pair(i as usize, j as usize, d);
+                        }
+                    }
+                }
+            }
+        }
+        (graph, counts)
+    }
+
     #[test]
-    fn dedup_avoids_recomputing_pairs() {
-        let data = clustered(300, 6, 6, 3);
-        let params = GkParams::default().xi(15).tau(4).kappa(4).seed(5);
-        let (_, with_dedup) = KnnGraphBuilder::new(params).graph_k(4).build(&data);
-        let (_, without_dedup) = KnnGraphBuilder::new(params.dedup_pairs(false))
-            .graph_k(4)
-            .build(&data);
-        assert!(
-            with_dedup.refine_distance_evals < without_dedup.refine_distance_evals,
-            "dedup {} vs no-dedup {}",
-            with_dedup.refine_distance_evals,
-            without_dedup.refine_distance_evals
-        );
+    fn scoring_every_pair_builds_the_visited_set_graph_bit_for_bit() {
+        // (n, dim, groups, data seed, ξ, τ, κ, params seed); ξ = 2 and 3 cut
+        // the data into clusters of two or three, which the one GK-means pass
+        // per round leaves with 1-member clusters.
+        let shapes = [
+            (300, 6, 6, 3, 15, 4, 4, 5),
+            (200, 4, 5, 7, 10, 3, 4, 7),
+            (240, 8, 12, 1, 20, 5, 6, 2),
+            (150, 5, 3, 11, 2, 4, 3, 21),
+            (120, 3, 4, 13, 3, 5, 4, 9),
+        ];
+        let mut singletons = 0;
+        for (n, dim, groups, data_seed, xi, tau, kappa, seed) in shapes {
+            let data = clustered(n, dim, groups, data_seed);
+            let params = GkParams::default().xi(xi).tau(tau).kappa(kappa).seed(seed);
+            let (graph, stats) = KnnGraphBuilder::new(params).graph_k(kappa).build(&data);
+            let (reference, counts) = build_with_visited_set(params, kappa, &data);
+            for i in 0..n {
+                let bits = |g: &KnnGraph| -> Vec<(u32, u32)> {
+                    g.neighbors(i)
+                        .as_slice()
+                        .iter()
+                        .map(|nb| (nb.id, nb.dist.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&graph), bits(&reference), "n={n} ξ={xi}: list {i}");
+            }
+            assert_eq!(
+                stats.refine_distance_evals, counts.all_pairs,
+                "n={n} ξ={xi}"
+            );
+            singletons += counts.singletons;
+        }
+        assert!(singletons > 0, "no shape produced a 1-member cluster");
     }
 
     #[test]

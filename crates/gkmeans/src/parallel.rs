@@ -21,7 +21,6 @@
 
 use std::time::Instant;
 
-use fxhash::FxHashSet;
 use rayon::prelude::*;
 
 use vecstore::distance::l2_sq;
@@ -100,7 +99,6 @@ impl ParallelKnnGraphBuilder {
             .record_trace(false)
             .kappa(self.params.kappa.min(self.graph_k));
 
-        let mut visited: FxHashSet<u64> = FxHashSet::default();
         for round in 0..self.params.tau {
             stats.rounds = round + 1;
             let clustering = GkMeans::new(inner_params.seed(self.params.seed ^ (round as u64 + 1)))
@@ -112,10 +110,7 @@ impl ParallelKnnGraphBuilder {
             // candidate edges in parallel.  Row blocks (rather than whole
             // clusters) keep the workers load-balanced when the clustering is
             // skewed: one oversized cluster becomes many independent work
-            // items instead of one straggler.  `visited` is only *read*
-            // during the parallel phase; the clusters are disjoint so no pair
-            // can be produced twice within a round, and insertion happens at
-            // the sequential merge.
+            // items instead of one straggler.
             let mut members: Vec<Vec<u32>> = vec![Vec::new(); k0];
             for (i, &label) in clustering.labels.iter().enumerate() {
                 members[label].push(i as u32);
@@ -133,8 +128,6 @@ impl ParallelKnnGraphBuilder {
                 }
             }
 
-            let dedup = self.params.dedup_pairs;
-            let visited_ref = &visited;
             let members_ref = &members;
             let dim = data.dim();
             let per_block: Vec<Vec<(u32, u32, f32)>> = work
@@ -142,16 +135,9 @@ impl ParallelKnnGraphBuilder {
                 .map(|&(ci, start, end)| {
                     let cluster = &members_ref[ci];
                     let mut edges = Vec::new();
-                    let mut partners: Vec<u32> = Vec::new();
                     let mut dists: Vec<f32> = Vec::new();
                     for (a_idx, &i) in cluster.iter().enumerate().take(end).skip(start) {
-                        partners.clear();
-                        for &j in cluster.iter().skip(a_idx + 1) {
-                            if dedup && visited_ref.contains(&pair_key(i, j)) {
-                                continue;
-                            }
-                            partners.push(j);
-                        }
+                        let partners = &cluster[a_idx + 1..];
                         if partners.is_empty() {
                             continue;
                         }
@@ -160,7 +146,7 @@ impl ParallelKnnGraphBuilder {
                             data.row(i as usize),
                             data.as_flat(),
                             dim,
-                            &partners,
+                            partners,
                             &mut dists,
                         );
                         for (&j, &d) in partners.iter().zip(&dists) {
@@ -173,9 +159,6 @@ impl ParallelKnnGraphBuilder {
 
             for edges in &per_block {
                 for &(i, j, d) in edges {
-                    if dedup && !visited.insert(pair_key(i, j)) {
-                        continue;
-                    }
                     stats.refine_distance_evals += 1;
                     stats.graph_updates += graph.update_pair(i as usize, j as usize, d) as u64;
                 }
@@ -197,13 +180,6 @@ impl ParallelKnnGraphBuilder {
 /// count helper and by the equivalence tests).
 fn sequential_equivalent(parallel: &ParallelKnnGraphBuilder) -> KnnGraphBuilder {
     KnnGraphBuilder::new(parallel.params).graph_k(parallel.graph_k)
-}
-
-/// Canonical key of an unordered pair, identical to the sequential builder's.
-#[inline]
-fn pair_key(i: u32, j: u32) -> u64 {
-    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-    (u64::from(hi) << 32) | u64::from(lo)
 }
 
 /// Computes the average distortion of a labelling in parallel — a helper for
@@ -269,25 +245,6 @@ mod tests {
                 .map(|n| (n.id, n.dist))
                 .collect();
             assert_eq!(a, b, "neighbour list of sample {i} differs");
-        }
-    }
-
-    #[test]
-    fn parallel_builder_matches_without_dedup_too() {
-        let data = clustered(300, 6, 6, 5);
-        let params = GkParams::default()
-            .xi(15)
-            .tau(3)
-            .kappa(5)
-            .seed(7)
-            .dedup_pairs(false);
-        let (seq, _) = KnnGraphBuilder::new(params).graph_k(5).build(&data);
-        let (par, _) = ParallelKnnGraphBuilder::new(params).graph_k(5).build(&data);
-        for i in 0..data.len() {
-            assert_eq!(
-                seq.neighbors(i).ids().collect::<Vec<_>>(),
-                par.neighbors(i).ids().collect::<Vec<_>>()
-            );
         }
     }
 

@@ -46,10 +46,6 @@ pub struct GkParams {
     /// objective evaluation per iteration — cheap, but off for pure
     /// scalability timings).
     pub record_trace: bool,
-    /// Deduplicate sample pairs across graph-construction rounds (Alg. 3
-    /// line 10 "if <i,j> is NOT visited"); costs memory proportional to the
-    /// number of compared pairs.
-    pub dedup_pairs: bool,
     /// Worker threads for the GK-means pipeline, `None` (or `Some(0|1)`)
     /// meaning the paper-faithful single-threaded iteration ("simulations are
     /// conducted by single thread", Sec. 5).
@@ -83,7 +79,6 @@ impl Default for GkParams {
             mode: GkMode::Boost,
             seed: 0,
             record_trace: true,
-            dedup_pairs: true,
             threads: vecstore::parallel::threads_from_env(),
         }
     }
@@ -139,14 +134,6 @@ impl GkParams {
         self
     }
 
-    /// Enables or disables cross-round pair deduplication during graph
-    /// construction.
-    #[must_use]
-    pub fn dedup_pairs(mut self, dedup: bool) -> Self {
-        self.dedup_pairs = dedup;
-        self
-    }
-
     /// Sets the worker thread count of the epoch engine (see
     /// [`GkParams::threads`] for the determinism guarantee; `0` and `1` both
     /// mean sequential).
@@ -196,7 +183,6 @@ mod tests {
         assert_eq!(p.iterations, 30);
         assert_eq!(p.mode, GkMode::Boost);
         assert!(p.record_trace);
-        assert!(p.dedup_pairs);
         // the default honours the CI matrix override and is otherwise the
         // paper-faithful single thread
         assert_eq!(p.threads, vecstore::parallel::threads_from_env());
@@ -212,7 +198,6 @@ mod tests {
             .mode(GkMode::Traditional)
             .seed(99)
             .record_trace(false)
-            .dedup_pairs(false)
             .threads(4);
         assert_eq!(p.kappa, 10);
         assert_eq!(p.xi, 20);
@@ -221,7 +206,6 @@ mod tests {
         assert_eq!(p.mode, GkMode::Traditional);
         assert_eq!(p.seed, 99);
         assert!(!p.record_trace);
-        assert!(!p.dedup_pairs);
         assert_eq!(p.threads, Some(4));
     }
 

@@ -18,6 +18,32 @@
 //! equal-size adjustment (Sec. 3.2: "the aforementioned boost k-means is
 //! integrated in the bisecting operation").
 //!
+//! # Gathered panel and running sums
+//!
+//! One scratch arena serves a whole [`TwoMeansTree::partition`] call: an
+//! `n × d` panel, `‖x‖²` of every row (computed once), and the distance,
+//! dot-product and per-block buffers.  Every cluster is a contiguous range of
+//! one member array, and a bisection starts by copying its members' rows to
+//! the front of the panel, so all of its passes stream contiguous rows:
+//!
+//! * a 2-means sweep scores each fixed block against each centre with one
+//!   `l2_sq_one_to_many` call;
+//! * a boost-refinement round takes its two composite·x columns from two
+//!   `dot_one_to_many` calls over the round's panel rows;
+//! * the equal-size margins come from `l2_sq_one_to_many_indexed` over the
+//!   panel.
+//!
+//! Those kernels run the pair kernels' own bodies, so every distance and dot
+//! product has the bits a per-pair `l2_sq` / `dot` call would give.  The
+//! 2-means sweeps keep **running `f64` sums** of the two halves: the first
+//! sweep sums each fixed block per side and merges the blocks in order; later
+//! sweeps subtract and add only the members that switched sides, in slot
+//! order.  Whenever the `f64` sums are exact — any integer-valued data set
+//! whose sums stay below 2⁵³, such as 8-bit descriptors — this equals
+//! re-summing both halves every sweep bit for bit.  On general float data a
+//! member almost equidistant from the two centres may land on the other side
+//! of an equally good split.
+//!
 //! # Equal-size adjustment
 //!
 //! Alg. 1 line 9 in one pass: the centroids of both halves are computed once,
@@ -51,8 +77,11 @@ use std::collections::BinaryHeap;
 
 use rand::Rng;
 
-use vecstore::distance::{dot, l2_sq};
-use vecstore::parallel::run_blocks;
+use vecstore::distance::dot;
+use vecstore::kernels::{
+    add_assign_f64_f32, dot_one_to_many, l2_sq_one_to_many, l2_sq_one_to_many_indexed,
+};
+use vecstore::parallel::run_mut_blocks;
 use vecstore::sample::rng_from_seed;
 use vecstore::VectorSet;
 
@@ -113,15 +142,133 @@ pub(crate) struct TwoMeansStats {
     pub adjust_moved: u64,
 }
 
-/// One fixed block's contribution to a 2-means assignment sweep: the block's
-/// new side decisions plus its partial centroid accumulators.
-struct AssignBlock {
+/// Scratch of one fixed block, reused by every pass of every bisection.
+struct BlockScratch {
+    /// The block's rows scored against the two centres: distances in a
+    /// 2-means sweep, the two terms of the margins in the equal-size pass.
+    col: [Vec<f32>; 2],
+    /// The block's side decisions in the current 2-means sweep.
     side: Vec<bool>,
+    /// Whether a decision differs from the previous sweep's.
     changed: bool,
-    acc0: Vec<f64>,
-    acc1: Vec<f64>,
-    n0: usize,
-    n1: usize,
+    /// `f64` sums of the block's rows per side (first 2-means sweep) or of
+    /// its slots (equal-size centroids, in `sums[0]`).
+    sums: [Vec<f64>; 2],
+    /// `f32` composites of the block's rows per side (boost refinement).
+    comp: [Vec<f32>; 2],
+    /// The block's rows per side.
+    counts: [usize; 2],
+}
+
+impl BlockScratch {
+    fn new(dim: usize) -> Self {
+        Self {
+            col: [vec![0.0; BISECT_BLOCK], vec![0.0; BISECT_BLOCK]],
+            side: Vec::with_capacity(BISECT_BLOCK),
+            changed: false,
+            sums: [vec![0.0; dim], vec![0.0; dim]],
+            comp: [vec![0.0; dim], vec![0.0; dim]],
+            counts: [0; 2],
+        }
+    }
+}
+
+/// Scratch of one partition call, allocated once and reused by every
+/// bisection.  Slot `s` of a bisection is its `s`-th member.
+struct Arena {
+    dim: usize,
+    /// `‖x‖²` of every data row.
+    norms: Vec<f32>,
+    /// The rows of the bisection in hand, in slot order.
+    panel: Vec<f32>,
+    /// `‖x‖²` of the panel rows.
+    panel_norms: Vec<f32>,
+    /// Every slot's side (`true` → cluster 1, the right half).
+    side: Vec<bool>,
+    /// Running `f64` sums of the two halves during 2-means.
+    sums: [Vec<f64>; 2],
+    /// The two centres: 2-means centroids, then the equal-size pass's
+    /// larger-half (`[0]`) and smaller-half (`[1]`) centroids.
+    centres: [Vec<f32>; 2],
+    /// Composite vectors of the two halves during boost refinement.
+    comp: [Vec<f32>; 2],
+    /// Composite·x columns of a boost-refinement round.
+    dots: [Vec<f32>; 2],
+    /// One scratch per fixed block of the largest bisection.
+    blocks: Vec<BlockScratch>,
+    /// Slots of the larger and of the smaller half (equal-size pass).
+    big: Vec<u32>,
+    small: Vec<u32>,
+    /// `(margin, slot)` keys of the larger half.
+    keyed: Vec<(f32, u32)>,
+    /// Right-half members while a bisection splits its member range.
+    spill: Vec<u32>,
+}
+
+impl Arena {
+    fn new(data: &VectorSet) -> Self {
+        let (n, dim) = (data.len(), data.dim());
+        Self {
+            dim,
+            norms: (0..n).map(|i| dot(data.row(i), data.row(i))).collect(),
+            panel: vec![0.0; n * dim],
+            panel_norms: vec![0.0; n],
+            side: vec![false; n],
+            sums: [vec![0.0; dim], vec![0.0; dim]],
+            centres: [vec![0.0; dim], vec![0.0; dim]],
+            comp: [vec![0.0; dim], vec![0.0; dim]],
+            dots: [vec![0.0; n], vec![0.0; n]],
+            blocks: (0..n.div_ceil(BISECT_BLOCK))
+                .map(|_| BlockScratch::new(dim))
+                .collect(),
+            big: Vec::with_capacity(n),
+            small: Vec::with_capacity(n),
+            keyed: Vec::with_capacity(n),
+            spill: Vec::with_capacity(n),
+        }
+    }
+
+    /// Copies the rows and norms of `members` to the front of the panel.
+    fn gather(&mut self, data: &VectorSet, members: &[u32], threads: usize) {
+        let (dim, m) = (self.dim, members.len());
+        let norms = &self.norms;
+        run_mut_blocks(
+            threads,
+            &mut self.panel[..m * dim],
+            BISECT_BLOCK * dim,
+            &mut self.panel_norms[..m],
+            BISECT_BLOCK,
+            |blk, rows, row_norms| {
+                let ids = &members[blk * BISECT_BLOCK..];
+                for ((row, norm), &s) in rows.chunks_exact_mut(dim).zip(row_norms).zip(ids) {
+                    row.copy_from_slice(data.row(s as usize));
+                    *norm = norms[s as usize];
+                }
+            },
+        );
+    }
+}
+
+/// Runs `f(block, scratch)` for every scratch of `blocks` on up to `threads`
+/// pool participants; block `b` always gets `blocks[b]`, whatever the thread
+/// count.
+fn on_blocks<F>(threads: usize, blocks: &mut [BlockScratch], f: F)
+where
+    F: Fn(usize, &mut BlockScratch) + Sync,
+{
+    let n = blocks.len();
+    // `run_mut_blocks` cuts two slices; the second is a zero-sized stand-in.
+    run_mut_blocks(threads, blocks, 1, &mut vec![(); n], 1, |blk, s, _| {
+        f(blk, &mut s[0]);
+    });
+}
+
+/// `acc −= row`, widened to `f64`: the inverse of `add_assign_f64_f32`.
+#[inline]
+fn sub_row(acc: &mut [f64], row: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(row) {
+        *a -= f64::from(v);
+    }
 }
 
 impl TwoMeansTree {
@@ -188,28 +335,31 @@ impl TwoMeansTree {
         let n = data.len();
         let mut rng = rng_from_seed(self.seed);
         let mut stats = TwoMeansStats::default();
-        // Clusters as index lists (Alg. 1 maps labels → partition S up
-        // front) in a max-heap keyed (size, creation index): the largest pops
-        // first and, among equals, the one created last.
+        let mut arena = Arena::new(data);
+        // Clusters as contiguous ranges `(size, creation index, start)` of
+        // one member array (Alg. 1 maps labels → partition S up front), in a
+        // max-heap: the largest pops first and, among equals, the one created
+        // last.
+        let mut members: Vec<u32> = (0..n as u32).collect();
         let mut clusters = BinaryHeap::with_capacity(k);
-        clusters.push((n, 0usize, (0..n as u32).collect::<Vec<u32>>()));
+        clusters.push((n, 0usize, 0usize));
         let mut created = 1usize;
         while clusters.len() < k {
             // Pop S_i with the largest size (Alg. 1 line 7); k ≤ n keeps it
             // at two members or more.
-            let (_, _, target) = clusters.pop().expect("at least one cluster");
-            let (su, sv) = self.bisect(data, &target, &mut rng, &mut stats);
-            for half in [su, sv] {
-                clusters.push((half.len(), created, half));
-                created += 1;
-            }
+            let (size, _, start) = clusters.pop().expect("at least one cluster");
+            let range = &mut members[start..start + size];
+            let n_left = self.bisect(data, &mut arena, range, &mut rng, &mut stats);
+            clusters.push((n_left, created, start));
+            clusters.push((size - n_left, created + 1, start + n_left));
+            created += 2;
         }
         // Map S back to labels (Alg. 1 line 13), numbered in creation order.
         let mut clusters = clusters.into_vec();
         clusters.sort_unstable_by_key(|&(_, created, _)| created);
         let mut labels = vec![0usize; n];
-        for (c, (_, _, members)) in clusters.iter().enumerate() {
-            for &s in members {
+        for (c, &(size, _, start)) in clusters.iter().enumerate() {
+            for &s in &members[start..start + size] {
                 labels[s as usize] = c;
             }
         }
@@ -226,170 +376,216 @@ impl TwoMeansTree {
         members: &[u32],
         rng: &mut impl Rng,
     ) -> (Vec<u32>, Vec<u32>) {
-        self.bisect(data, members, rng, &mut TwoMeansStats::default())
-    }
-
-    fn bisect(
-        &self,
-        data: &VectorSet,
-        members: &[u32],
-        rng: &mut impl Rng,
-        stats: &mut TwoMeansStats,
-    ) -> (Vec<u32>, Vec<u32>) {
-        assert!(members.len() >= 2, "cannot bisect fewer than two samples");
-        stats.member_visits += members.len() as u64;
-        let mut side = self.two_means(data, members, rng, stats);
-        if self.boost_refine {
-            self.refine(data, members, &mut side, stats);
-        }
-        self.equalize(data, members, &mut side, stats);
-        let mut left = Vec::with_capacity(members.len().div_ceil(2));
-        let mut right = Vec::with_capacity(members.len().div_ceil(2));
-        for (&s, &to_right) in members.iter().zip(&side) {
-            if to_right {
-                right.push(s);
-            } else {
-                left.push(s);
-            }
-        }
+        let mut left = members.to_vec();
+        let n_left = self.bisect(
+            data,
+            &mut Arena::new(data),
+            &mut left,
+            rng,
+            &mut TwoMeansStats::default(),
+        );
+        let right = left.split_off(n_left);
         (left, right)
     }
 
-    /// Plain 2-means from two random member seeds; returns every member's
-    /// side (`false` → cluster 0).
-    fn two_means(
+    /// Bisects `members` in place: on return the left half is
+    /// `members[..n_left]` and the right half the rest, each in input order.
+    /// Returns `n_left`.
+    fn bisect(
         &self,
         data: &VectorSet,
+        arena: &mut Arena,
+        members: &mut [u32],
+        rng: &mut impl Rng,
+        stats: &mut TwoMeansStats,
+    ) -> usize {
+        let m = members.len();
+        assert!(m >= 2, "cannot bisect fewer than two samples");
+        stats.member_visits += m as u64;
+        arena.gather(data, members, self.threads);
+        self.two_means(arena, members, rng, stats);
+        if self.boost_refine {
+            self.refine(arena, m, stats);
+        }
+        self.equalize(arena, m, stats);
+        // Stable split: lefts compact forward (a write never overtakes the
+        // read), rights wait in the spill.
+        arena.spill.clear();
+        let mut n_left = 0;
+        for slot in 0..m {
+            let s = members[slot];
+            if arena.side[slot] {
+                arena.spill.push(s);
+            } else {
+                members[n_left] = s;
+                n_left += 1;
+            }
+        }
+        members[n_left..].copy_from_slice(&arena.spill);
+        n_left
+    }
+
+    /// Plain 2-means from two random member seeds over the gathered panel;
+    /// leaves every slot's side in `arena.side` (`false` → cluster 0).
+    fn two_means(
+        &self,
+        arena: &mut Arena,
         members: &[u32],
         rng: &mut impl Rng,
         stats: &mut TwoMeansStats,
-    ) -> Vec<bool> {
-        let dim = data.dim();
+    ) {
+        let (dim, m) = (arena.dim, members.len());
         let threads = self.threads;
-        let n_blocks = members.len().div_ceil(BISECT_BLOCK);
+        let Arena {
+            panel,
+            side,
+            sums,
+            centres,
+            blocks,
+            ..
+        } = arena;
+        let side = &mut side[..m];
+        let blocks = &mut blocks[..m.div_ceil(BISECT_BLOCK)];
 
-        let a = members[rng.gen_range(0..members.len())] as usize;
-        let mut b = members[rng.gen_range(0..members.len())] as usize;
+        let a = rng.gen_range(0..m);
+        let mut b = rng.gen_range(0..m);
         let mut tries = 0;
-        while b == a && tries < 16 {
-            b = members[rng.gen_range(0..members.len())] as usize;
+        while members[b] == members[a] && tries < 16 {
+            b = rng.gen_range(0..m);
             tries += 1;
         }
-        let mut c0 = data.row(a).to_vec();
-        let mut c1 = data.row(b).to_vec();
-        let mut side = vec![false; members.len()];
-        for _ in 0..self.refine_iters {
-            // Fused assignment + centroid accumulation in fixed blocks: every
-            // block decides its members against the iteration's frozen
-            // centroids and accumulates its own f64 partials, merged below in
-            // block order.
-            let blocks: Vec<AssignBlock> = {
-                let (c0, c1, side) = (&c0, &c1, &side);
-                run_blocks(threads, n_blocks, |blk| {
+        centres[0].copy_from_slice(&panel[a * dim..(a + 1) * dim]);
+        centres[1].copy_from_slice(&panel[b * dim..(b + 1) * dim]);
+        side.fill(false);
+        for sum in sums.iter_mut() {
+            sum.fill(0.0);
+        }
+        let mut sizes = [0usize; 2];
+        for sweep in 0..self.refine_iters {
+            let first = sweep == 0;
+            // Every block decides its rows against the sweep's frozen
+            // centres; the first sweep also sums them per side.
+            {
+                let (panel, side, centres) = (&*panel, &*side, &*centres);
+                on_blocks(threads, blocks, |blk, s| {
                     let lo = blk * BISECT_BLOCK;
-                    let hi = ((blk + 1) * BISECT_BLOCK).min(members.len());
-                    let mut out = AssignBlock {
-                        side: Vec::with_capacity(hi - lo),
-                        changed: false,
-                        acc0: vec![0.0f64; dim],
-                        acc1: vec![0.0f64; dim],
-                        n0: 0,
-                        n1: 0,
-                    };
-                    for (slot, &s) in members[lo..hi].iter().enumerate() {
-                        let x = data.row(s as usize);
-                        let to_one = l2_sq(x, c1) < l2_sq(x, c0);
-                        out.changed |= to_one != side[lo + slot];
-                        out.side.push(to_one);
-                        let acc = if to_one {
-                            out.n1 += 1;
-                            &mut out.acc1
-                        } else {
-                            out.n0 += 1;
-                            &mut out.acc0
-                        };
-                        for (a, &v) in acc.iter_mut().zip(x) {
-                            *a += f64::from(v);
+                    let hi = (lo + BISECT_BLOCK).min(m);
+                    let rows = &panel[lo * dim..hi * dim];
+                    let [to0, to1] = &mut s.col;
+                    let (to0, to1) = (&mut to0[..hi - lo], &mut to1[..hi - lo]);
+                    l2_sq_one_to_many(&centres[0], rows, to0);
+                    l2_sq_one_to_many(&centres[1], rows, to1);
+                    s.side.clear();
+                    s.side
+                        .extend(to1.iter().zip(to0.iter()).map(|(d1, d0)| d1 < d0));
+                    s.changed = s.side[..] != side[lo..hi];
+                    if first {
+                        s.counts = [0; 2];
+                        for sum in &mut s.sums {
+                            sum.fill(0.0);
+                        }
+                        for (row, &to_one) in rows.chunks_exact(dim).zip(&s.side) {
+                            let which = usize::from(to_one);
+                            s.counts[which] += 1;
+                            add_assign_f64_f32(&mut s.sums[which], row);
                         }
                     }
-                    out
-                })
-            };
-            stats.distance_evals += 2 * members.len() as u64;
+                });
+            }
+            stats.distance_evals += 2 * m as u64;
+            // Sums: the first sweep merges the block partials in block
+            // order; later sweeps move only the rows that switched, in slot
+            // order.
             let mut changed = false;
-            let mut acc0 = vec![0.0f64; dim];
-            let mut acc1 = vec![0.0f64; dim];
-            let mut n0 = 0usize;
-            let mut n1 = 0usize;
-            for (blk, block) in blocks.iter().enumerate() {
+            for (blk, s) in blocks.iter().enumerate() {
                 let lo = blk * BISECT_BLOCK;
-                side[lo..lo + block.side.len()].copy_from_slice(&block.side);
-                changed |= block.changed;
-                for (a, &v) in acc0.iter_mut().zip(&block.acc0) {
-                    *a += v;
+                let old = &mut side[lo..lo + s.side.len()];
+                if first {
+                    for which in 0..2 {
+                        sizes[which] += s.counts[which];
+                        for (a, &v) in sums[which].iter_mut().zip(&s.sums[which]) {
+                            *a += v;
+                        }
+                    }
+                } else if s.changed {
+                    for (slot, (&to_one, &was_one)) in s.side.iter().zip(old.iter()).enumerate() {
+                        if to_one != was_one {
+                            let row = &panel[(lo + slot) * dim..(lo + slot + 1) * dim];
+                            let (from, to) = (usize::from(was_one), usize::from(to_one));
+                            sub_row(&mut sums[from], row);
+                            add_assign_f64_f32(&mut sums[to], row);
+                            sizes[from] -= 1;
+                            sizes[to] += 1;
+                        }
+                    }
                 }
-                for (a, &v) in acc1.iter_mut().zip(&block.acc1) {
-                    *a += v;
-                }
-                n0 += block.n0;
-                n1 += block.n1;
-            }
-            if n0 > 0 {
-                for (c, acc) in c0.iter_mut().zip(&acc0) {
-                    *c = (*acc / n0 as f64) as f32;
-                }
-            }
-            if n1 > 0 {
-                for (c, acc) in c1.iter_mut().zip(&acc1) {
-                    *c = (*acc / n1 as f64) as f32;
-                }
+                changed |= s.changed;
+                old.copy_from_slice(&s.side);
             }
             if !changed {
                 break;
             }
+            for which in 0..2 {
+                if sizes[which] > 0 {
+                    let count = sizes[which] as f64;
+                    for (c, &acc) in centres[which].iter_mut().zip(&sums[which]) {
+                        *c = (acc / count) as f32;
+                    }
+                }
+            }
         }
-        side
     }
 
     /// Boost-k-means refinement: one sweep of incremental ΔI moves (Eqn. 3)
-    /// on the 2-cluster subproblem, flipping `side` in place.
-    fn refine(
-        &self,
-        data: &VectorSet,
-        members: &[u32],
-        side: &mut [bool],
-        stats: &mut TwoMeansStats,
-    ) {
-        let dim = data.dim();
+    /// on the 2-cluster subproblem of the gathered panel, flipping
+    /// `arena.side` in place.
+    fn refine(&self, arena: &mut Arena, m: usize, stats: &mut TwoMeansStats) {
+        let dim = arena.dim;
         let threads = self.threads;
-        let n_blocks = members.len().div_ceil(BISECT_BLOCK);
+        let Arena {
+            panel,
+            panel_norms,
+            side,
+            comp,
+            dots,
+            blocks,
+            ..
+        } = arena;
+        let side = &mut side[..m];
+        let blocks = &mut blocks[..m.div_ceil(BISECT_BLOCK)];
 
         // Composite vectors and sizes, accumulated per fixed block and
         // merged in block order (the same grouping at every thread count).
-        let mut comp = [vec![0.0f32; dim], vec![0.0f32; dim]];
-        let mut sizes = [0usize, 0usize];
         {
-            let side = &*side;
-            let partials: Vec<([Vec<f32>; 2], [usize; 2])> = run_blocks(threads, n_blocks, |blk| {
+            let (panel, side) = (&*panel, &*side);
+            on_blocks(threads, blocks, |blk, s| {
                 let lo = blk * BISECT_BLOCK;
-                let hi = ((blk + 1) * BISECT_BLOCK).min(members.len());
-                let mut comp = [vec![0.0f32; dim], vec![0.0f32; dim]];
-                let mut sizes = [0usize, 0usize];
-                for (slot, &s) in members[lo..hi].iter().enumerate() {
-                    let which = usize::from(side[lo + slot]);
-                    sizes[which] += 1;
-                    for (c, &v) in comp[which].iter_mut().zip(data.row(s as usize)) {
+                let hi = (lo + BISECT_BLOCK).min(m);
+                s.counts = [0; 2];
+                for c in &mut s.comp {
+                    c.fill(0.0);
+                }
+                for (row, &to_right) in panel[lo * dim..hi * dim]
+                    .chunks_exact(dim)
+                    .zip(&side[lo..hi])
+                {
+                    let which = usize::from(to_right);
+                    s.counts[which] += 1;
+                    for (c, &v) in s.comp[which].iter_mut().zip(row) {
                         *c += v;
                     }
                 }
-                (comp, sizes)
             });
-            for (pcomp, psizes) in &partials {
-                for which in 0..2 {
-                    sizes[which] += psizes[which];
-                    for (c, &v) in comp[which].iter_mut().zip(&pcomp[which]) {
-                        *c += v;
-                    }
+        }
+        let mut sizes = [0usize; 2];
+        for c in comp.iter_mut() {
+            c.fill(0.0);
+        }
+        for s in blocks.iter() {
+            for which in 0..2 {
+                sizes[which] += s.counts[which];
+                for (c, &v) in comp[which].iter_mut().zip(&s.comp[which]) {
+                    *c += v;
                 }
             }
         }
@@ -408,54 +604,55 @@ impl TwoMeansTree {
         };
         // D_u'·D_u and D_v'·D_v are frozen between moves: once per snapshot,
         // not once per score.
-        let mut norms = composite_norms(&comp);
+        let mut norms = composite_norms(comp);
         let min_len = threads * REFINE_MIN_PER_THREAD;
         let max_len = threads * REFINE_BATCH_PER_THREAD;
         let mut round_len = min_len;
         let mut last_move_end = 0usize;
         let mut pos = 0usize;
-        while pos < members.len() {
-            let end = (pos + round_len).min(members.len());
-            let proposals: Vec<Option<f64>> = {
-                let (comp, sizes, norms, side) = (&comp, &sizes, &norms, &*side);
-                let score_blocks = (end - pos).div_ceil(REFINE_SCORE_BLOCK);
-                run_blocks(threads, score_blocks, |blk| {
-                    let lo = pos + blk * REFINE_SCORE_BLOCK;
-                    let hi = (lo + REFINE_SCORE_BLOCK).min(end);
-                    (lo..hi)
-                        .map(|slot| {
-                            let from = usize::from(side[slot]);
-                            if sizes[from] <= 1 {
-                                return None;
-                            }
-                            let to = 1 - from;
-                            let x = data.row(members[slot] as usize);
-                            let x_norm_sq = f64::from(dot(x, x));
-                            Some(
-                                removal_gain(
-                                    norms[from],
-                                    f64::from(dot(&comp[from], x)),
-                                    x_norm_sq,
-                                    sizes[from],
-                                ) + addition_gain(
-                                    norms[to],
-                                    f64::from(dot(&comp[to], x)),
-                                    x_norm_sq,
-                                    sizes[to],
-                                ),
-                            )
-                        })
-                        .collect::<Vec<Option<f64>>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            };
+        while pos < m {
+            let end = (pos + round_len).min(m);
+            // The round's composite·x columns, one dot_one_to_many per
+            // composite and fixed score block.
+            {
+                let (rows, comp) = (&panel[pos * dim..end * dim], &*comp);
+                let [dots0, dots1] = &mut *dots;
+                run_mut_blocks(
+                    threads,
+                    &mut dots0[..end - pos],
+                    REFINE_SCORE_BLOCK,
+                    &mut dots1[..end - pos],
+                    REFINE_SCORE_BLOCK,
+                    |blk, to0, to1| {
+                        let lo = blk * REFINE_SCORE_BLOCK;
+                        let rows = &rows[lo * dim..(lo + to0.len()) * dim];
+                        dot_one_to_many(&comp[0], rows, to0);
+                        dot_one_to_many(&comp[1], rows, to1);
+                    },
+                );
+            }
             stats.refine_scored += (end - pos) as u64;
             stats.distance_evals += 2 * (end - pos) as u64;
-            let first_move = proposals
-                .iter()
-                .position(|p| p.is_some_and(|delta| delta > 0.0));
+            let first_move = (pos..end).position(|slot| {
+                let from = usize::from(side[slot]);
+                if sizes[from] <= 1 {
+                    return false;
+                }
+                let to = 1 - from;
+                let x_norm_sq = f64::from(panel_norms[slot]);
+                let gain = removal_gain(
+                    norms[from],
+                    f64::from(dots[from][slot - pos]),
+                    x_norm_sq,
+                    sizes[from],
+                ) + addition_gain(
+                    norms[to],
+                    f64::from(dots[to][slot - pos]),
+                    x_norm_sq,
+                    sizes[to],
+                );
+                gain > 0.0
+            });
             let Some(off) = first_move else {
                 pos = end;
                 round_len = (2 * round_len).min(max_len);
@@ -464,7 +661,7 @@ impl TwoMeansTree {
             let slot = pos + off;
             let from = usize::from(side[slot]);
             let to = 1 - from;
-            let x = data.row(members[slot] as usize);
+            let x = &panel[slot * dim..(slot + 1) * dim];
             for (c, &v) in comp[from].iter_mut().zip(x) {
                 *c -= v;
             }
@@ -474,7 +671,7 @@ impl TwoMeansTree {
             sizes[from] -= 1;
             sizes[to] += 1;
             side[slot] = !side[slot];
-            norms = composite_norms(&comp);
+            norms = composite_norms(comp);
             stats.refine_moves += 1;
             // State diverged from the snapshot: restart scoring right after
             // this sample, expecting the next move about as far away as this
@@ -485,26 +682,34 @@ impl TwoMeansTree {
         }
     }
 
-    /// Equal-size adjustment (Alg. 1 line 9) in one pass: flips in `side` the
-    /// `⌊(|big| − |small|)/2⌋` members of the larger half with the smallest
-    /// `(margin, slot)`, after which the halves differ by at most one.
-    fn equalize(
-        &self,
-        data: &VectorSet,
-        members: &[u32],
-        side: &mut [bool],
-        stats: &mut TwoMeansStats,
-    ) {
+    /// Equal-size adjustment (Alg. 1 line 9) in one pass: flips in
+    /// `arena.side` the `⌊(|big| − |small|)/2⌋` members of the larger half
+    /// with the smallest `(margin, slot)`, after which the halves differ by
+    /// at most one.
+    fn equalize(&self, arena: &mut Arena, m: usize, stats: &mut TwoMeansStats) {
+        let dim = arena.dim;
         let threads = self.threads;
+        let Arena {
+            panel,
+            side,
+            sums,
+            centres,
+            blocks,
+            big,
+            small,
+            keyed,
+            ..
+        } = arena;
+        let side = &mut side[..m];
         let n_right = side.iter().filter(|&&to_right| to_right).count();
-        let n_left = members.len() - n_right;
+        let n_left = m - n_right;
         let moves = n_left.abs_diff(n_right) / 2;
         if moves == 0 {
             return;
         }
         let big_side = n_right > n_left;
-        let mut big: Vec<u32> = Vec::with_capacity(n_left.max(n_right));
-        let mut small: Vec<u32> = Vec::with_capacity(n_left.min(n_right));
+        big.clear();
+        small.clear();
         for (slot, &to_right) in side.iter().enumerate() {
             if to_right == big_side {
                 big.push(slot as u32);
@@ -512,27 +717,32 @@ impl TwoMeansTree {
                 small.push(slot as u32);
             }
         }
-        let big_c = self.centroid(data, members, &big);
-        let small_c = self.centroid(data, members, &small);
+        let [big_c, small_c] = centres;
+        let [acc, _] = sums;
+        self.centroid(panel, dim, big, blocks, acc, big_c);
+        self.centroid(panel, dim, small, blocks, acc, small_c);
         // margin = d(x, small centroid) − d(x, own centroid); the smallest
         // margins sit on the boundary and are the cheapest to move.
-        let mut keyed: Vec<(f32, u32)> = {
-            let (big, big_c, small_c) = (&big, &big_c, &small_c);
-            run_blocks(threads, big.len().div_ceil(BISECT_BLOCK), |blk| {
+        let blocks = &mut blocks[..big.len().div_ceil(BISECT_BLOCK)];
+        {
+            let (panel, big, big_c, small_c) = (&*panel, &*big, &*big_c, &*small_c);
+            on_blocks(threads, blocks, |blk, s| {
                 let lo = blk * BISECT_BLOCK;
-                let hi = ((blk + 1) * BISECT_BLOCK).min(big.len());
-                big[lo..hi]
+                let slots = &big[lo..(lo + BISECT_BLOCK).min(big.len())];
+                let [to_small, to_big] = &mut s.col;
+                l2_sq_one_to_many_indexed(small_c, panel, dim, slots, &mut to_small[..slots.len()]);
+                l2_sq_one_to_many_indexed(big_c, panel, dim, slots, &mut to_big[..slots.len()]);
+            });
+        }
+        keyed.clear();
+        for (slots, s) in big.chunks(BISECT_BLOCK).zip(blocks.iter()) {
+            keyed.extend(
+                slots
                     .iter()
-                    .map(|&slot| {
-                        let x = data.row(members[slot as usize] as usize);
-                        (l2_sq(x, small_c) - l2_sq(x, big_c), slot)
-                    })
-                    .collect::<Vec<(f32, u32)>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+                    .zip(s.col[0].iter().zip(&s.col[1]))
+                    .map(|(&slot, (&to_small, &to_big))| (to_small - to_big, slot)),
+            );
+        }
         stats.margin_passes += 1;
         stats.distance_evals += 2 * big.len() as u64;
         keyed.select_nth_unstable_by(moves, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -542,31 +752,40 @@ impl TwoMeansTree {
         stats.adjust_moved += moves as u64;
     }
 
-    /// Mean of the members at `slots`: fixed-block f64 partials merged in
-    /// block order (the zero vector for no slots).
-    fn centroid(&self, data: &VectorSet, members: &[u32], slots: &[u32]) -> Vec<f32> {
-        let dim = data.dim();
-        let n_blocks = slots.len().div_ceil(BISECT_BLOCK);
-        let partials: Vec<Vec<f64>> = run_blocks(self.threads, n_blocks, |blk| {
+    /// Mean of the panel rows at `slots` into `out`: fixed-block `f64`
+    /// partials merged in block order into `acc` (the zero vector for no
+    /// slots).
+    fn centroid(
+        &self,
+        panel: &[f32],
+        dim: usize,
+        slots: &[u32],
+        blocks: &mut [BlockScratch],
+        acc: &mut [f64],
+        out: &mut [f32],
+    ) {
+        let blocks = &mut blocks[..slots.len().div_ceil(BISECT_BLOCK)];
+        on_blocks(self.threads, blocks, |blk, s| {
             let lo = blk * BISECT_BLOCK;
-            let hi = ((blk + 1) * BISECT_BLOCK).min(slots.len());
-            let mut acc = vec![0.0f64; dim];
-            for &slot in &slots[lo..hi] {
-                let x = data.row(members[slot as usize] as usize);
-                for (a, &v) in acc.iter_mut().zip(x) {
-                    *a += f64::from(v);
-                }
+            let partial = &mut s.sums[0];
+            partial.fill(0.0);
+            for &slot in &slots[lo..(lo + BISECT_BLOCK).min(slots.len())] {
+                add_assign_f64_f32(
+                    partial,
+                    &panel[slot as usize * dim..(slot as usize + 1) * dim],
+                );
             }
-            acc
         });
-        let mut acc = vec![0.0f64; dim];
-        for partial in &partials {
-            for (a, &v) in acc.iter_mut().zip(partial) {
+        acc.fill(0.0);
+        for s in blocks.iter() {
+            for (a, &v) in acc.iter_mut().zip(&s.sums[0]) {
                 *a += v;
             }
         }
         let inv = 1.0 / slots.len().max(1) as f64;
-        acc.into_iter().map(|a| (a * inv) as f32).collect()
+        for (o, &a) in out.iter_mut().zip(acc.iter()) {
+            *o = (a * inv) as f32;
+        }
     }
 }
 
@@ -574,6 +793,7 @@ impl TwoMeansTree {
 mod tests {
     use super::*;
     use crate::objective::delta_i_reference;
+    use vecstore::distance::l2_sq;
 
     fn blobs(per: usize, k: usize) -> VectorSet {
         let mut rows = Vec::new();
@@ -709,6 +929,90 @@ mod tests {
         u64::from(k.next_power_of_two().trailing_zeros())
     }
 
+    /// An arena holding `members` gathered with the given sides, as a
+    /// bisection leaves it before its refinement and adjustment passes.
+    fn gathered(data: &VectorSet, members: &[u32], side: &[bool], threads: usize) -> Arena {
+        let mut arena = Arena::new(data);
+        arena.gather(data, members, threads);
+        arena.side[..members.len()].copy_from_slice(side);
+        arena
+    }
+
+    /// 2-means as a bisection ran it before running sums: both halves
+    /// re-summed over every member on every sweep.
+    fn resumming_two_means(
+        data: &VectorSet,
+        members: &[u32],
+        sweeps: usize,
+        rng: &mut impl Rng,
+    ) -> Vec<bool> {
+        let a = members[rng.gen_range(0..members.len())] as usize;
+        let mut b = members[rng.gen_range(0..members.len())] as usize;
+        let mut tries = 0;
+        while b == a && tries < 16 {
+            b = members[rng.gen_range(0..members.len())] as usize;
+            tries += 1;
+        }
+        let mut centres = [data.row(a).to_vec(), data.row(b).to_vec()];
+        let mut side = vec![false; members.len()];
+        for _ in 0..sweeps {
+            let next: Vec<bool> = members
+                .iter()
+                .map(|&s| {
+                    let x = data.row(s as usize);
+                    l2_sq(x, &centres[1]) < l2_sq(x, &centres[0])
+                })
+                .collect();
+            let changed = next != side;
+            side = next;
+            let mut sums = [vec![0.0f64; data.dim()], vec![0.0f64; data.dim()]];
+            let mut sizes = [0usize; 2];
+            for (&s, &to_one) in members.iter().zip(&side) {
+                sizes[usize::from(to_one)] += 1;
+                add_assign_f64_f32(&mut sums[usize::from(to_one)], data.row(s as usize));
+            }
+            for which in 0..2 {
+                if sizes[which] > 0 {
+                    for (c, &acc) in centres[which].iter_mut().zip(&sums[which]) {
+                        *c = (acc / sizes[which] as f64) as f32;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        side
+    }
+
+    #[test]
+    fn running_sums_equal_resumming_every_sweep_on_integer_data() {
+        // Integer coordinates keep every f64 sum exact, so moving only the
+        // switched rows must reproduce re-summing bit for bit — over one and
+        // several fixed blocks, in a scrambled member order.
+        for (m, weights, seed) in [
+            (900usize, [3usize, 2], 1u64),
+            (2600, [1, 1], 2),
+            (3100, [5, 2], 3),
+        ] {
+            let data = mixture(m, 7, &weights, seed);
+            let members: Vec<u32> = (0..m as u32).map(|i| (i * 7 + 3) % m as u32).collect();
+            let expected = resumming_two_means(&data, &members, 5, &mut rng_from_seed(seed));
+            for threads in [1usize, 2, 4, 7] {
+                let mut arena = gathered(&data, &members, &vec![false; m], threads);
+                let mut stats = TwoMeansStats::default();
+                TwoMeansTree::new(seed).threads(threads).two_means(
+                    &mut arena,
+                    &members,
+                    &mut rng_from_seed(seed),
+                    &mut stats,
+                );
+                assert_eq!(arena.side[..m], expected[..], "m={m} threads={threads}");
+                assert!(stats.distance_evals >= 4 * m as u64, "only one sweep ran");
+            }
+        }
+    }
+
     /// The refinement as the paper states it: one sample at a time, every ΔI
     /// against the current state.  Returns the number of moves.
     fn sequential_refine(data: &VectorSet, members: &[u32], side: &mut [bool]) -> u64 {
@@ -766,12 +1070,12 @@ mod tests {
                 let expected_moves = sequential_refine(&data, &members, &mut expected);
                 assert!(expected_moves > 0, "the case must move something");
                 for threads in [1usize, 2, 4, 7] {
-                    let mut side = start.clone();
+                    let mut arena = gathered(&data, &members, &start, threads);
                     let mut stats = TwoMeansStats::default();
                     TwoMeansTree::new(0)
                         .threads(threads)
-                        .refine(&data, &members, &mut side, &mut stats);
-                    assert_eq!(side, expected, "m={m} threads={threads}");
+                        .refine(&mut arena, m, &mut stats);
+                    assert_eq!(arena.side[..m], expected[..], "m={m} threads={threads}");
                     assert_eq!(
                         stats.refine_moves, expected_moves,
                         "m={m} threads={threads}"
@@ -787,22 +1091,32 @@ mod tests {
         // 9 of every 10 samples in one tight component: 2-means cuts the
         // small one off and the adjustment has to move ~40 % of the members.
         let data = mixture(2500, 4, &[9, 1], 5);
-        let members: Vec<u32> = (0..2500u32).collect();
+        let mut members: Vec<u32> = (0..2500u32).collect();
         let mut stats = TwoMeansStats::default();
-        let (l, r) =
-            TwoMeansTree::new(5).bisect(&data, &members, &mut rng_from_seed(5), &mut stats);
-        assert_eq!(l.len().abs_diff(r.len()), 0);
+        let n_left = TwoMeansTree::new(5).bisect(
+            &data,
+            &mut Arena::new(&data),
+            &mut members,
+            &mut rng_from_seed(5),
+            &mut stats,
+        );
+        assert_eq!(n_left, 1250);
         assert!(stats.adjust_moved >= 900, "{stats:?}");
         assert_eq!(stats.margin_passes, 1);
         assert_eq!(stats.member_visits, 2500);
 
         // Two equal components: nothing to adjust, no margin pass.
         let data = mixture(2000, 4, &[1, 1], 6);
-        let members: Vec<u32> = (0..2000u32).collect();
+        let mut members: Vec<u32> = (0..2000u32).collect();
         let mut stats = TwoMeansStats::default();
-        let (l, r) =
-            TwoMeansTree::new(6).bisect(&data, &members, &mut rng_from_seed(6), &mut stats);
-        assert_eq!((l.len(), r.len()), (1000, 1000));
+        let n_left = TwoMeansTree::new(6).bisect(
+            &data,
+            &mut Arena::new(&data),
+            &mut members,
+            &mut rng_from_seed(6),
+            &mut stats,
+        );
+        assert_eq!(n_left, 1000);
         assert_eq!((stats.margin_passes, stats.adjust_moved), (0, 0));
     }
 
@@ -817,15 +1131,16 @@ mod tests {
             .collect();
         let data = VectorSet::from_rows(rows).unwrap();
         let members: Vec<u32> = (0..400u32).collect();
-        let mut side: Vec<bool> = (0..400).map(|i| i % 8 == 7).collect();
+        let side: Vec<bool> = (0..400).map(|i| i % 8 == 7).collect();
+        let mut arena = gathered(&data, &members, &side, 1);
         let mut stats = TwoMeansStats::default();
-        TwoMeansTree::new(0).equalize(&data, &members, &mut side, &mut stats);
+        TwoMeansTree::new(0).equalize(&mut arena, 400, &mut stats);
         assert_eq!(stats.adjust_moved, 150);
         let ones: Vec<usize> = (0..400).filter(|i| i % 8 != 7 && i % 3 == 1).collect();
         let expected: Vec<bool> = (0..400)
             .map(|i| i % 8 == 7 || i % 3 == 2 || ones[..33].contains(&i))
             .collect();
-        assert_eq!(side, expected);
+        assert_eq!(arena.side[..400], expected[..]);
     }
 
     #[test]

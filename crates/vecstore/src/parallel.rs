@@ -1138,10 +1138,20 @@ mod tests {
         let before: std::collections::HashSet<u64> = pool_worker_tids().into_iter().collect();
         let pool = WorkerPool::new();
         assert_eq!(pool.run(4, 8, |b| b), (0..8).collect::<Vec<_>>());
-        let ours: Vec<u64> = pool_worker_tids()
-            .into_iter()
-            .filter(|tid| !before.contains(tid))
-            .collect();
+        // A spawned thread names itself once it first runs, and the caller
+        // can finish 8 trivial blocks before that: until then its comm is
+        // the inherited name.  Poll until the new workers show up.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let ours: Vec<u64> = loop {
+            let ours: Vec<u64> = pool_worker_tids()
+                .into_iter()
+                .filter(|tid| !before.contains(tid))
+                .collect();
+            if !ours.is_empty() || std::time::Instant::now() >= deadline {
+                break ours;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        };
         assert!(
             !ours.is_empty(),
             "a threads=4 round must leave resident workers parked"
