@@ -3,22 +3,21 @@
 //! 1. boost-k-means vs traditional moves inside GK-means (GK-means vs
 //!    GK-means⁻, Fig. 4's configuration study) at an identical graph;
 //! 2. the two-means tree's boost refinement of each bisection on vs off
-//!    (initial-partition quality feeding Alg. 2);
-//! 3. sequential vs rayon-parallel Alg. 3 refinement (identical graphs,
-//!    wall-clock only — the parallel path is never used in measured runs).
+//!    (initial-partition quality feeding Alg. 2).
+//!
+//! Alg. 3's refinement has no sequential/parallel ablation: the one builder
+//! produces the same graph at any thread count.
 //!
 //! ```bash
 //! cargo run --release -p bench --bin ablation_design_choices -- --scale 0.02
 //! ```
-
-use std::time::Instant;
 
 use baselines::common::recompute_centroids;
 use bench::Options;
 use datagen::{PaperDataset, Workload};
 use eval::{average_distortion, Table};
 use gkmeans::two_means::TwoMeansTree;
-use gkmeans::{GkMeans, GkMode, GkParams, KnnGraphBuilder, ParallelKnnGraphBuilder};
+use gkmeans::{GkMeans, GkMode, GkParams, KnnGraphBuilder};
 use vecstore::VectorSet;
 
 fn main() {
@@ -76,31 +75,4 @@ fn main() {
         ]);
     }
     print!("{}", init_table.render());
-
-    // ------------------------------------------------------------------ (3)
-    let mut par_table = Table::new(
-        "ablation 3: sequential vs parallel Alg. 3 refinement (identical output)",
-        &["builder", "build (s)", "graph updates"],
-    );
-    let start = Instant::now();
-    let (g_seq, s_seq) = KnnGraphBuilder::new(params).graph_k(10).build(&w.data);
-    par_table.row(&[
-        "sequential".into(),
-        format!("{:.2}", start.elapsed().as_secs_f64()),
-        s_seq.graph_updates.to_string(),
-    ]);
-    let start = Instant::now();
-    let (g_par, s_par) = ParallelKnnGraphBuilder::new(params)
-        .graph_k(10)
-        .build(&w.data);
-    par_table.row(&[
-        "parallel refinement".into(),
-        format!("{:.2}", start.elapsed().as_secs_f64()),
-        s_par.graph_updates.to_string(),
-    ]);
-    print!("{}", par_table.render());
-    let identical = (0..w.data.len()).all(|i| {
-        g_seq.neighbors(i).ids().collect::<Vec<_>>() == g_par.neighbors(i).ids().collect::<Vec<_>>()
-    });
-    println!("parallel output identical to sequential: {identical}");
 }

@@ -30,15 +30,6 @@
 //!   ([`kernels::assign_accumulate_block`]): the update accumulates while the
 //!   query rows are still cache-hot, so the second data pass disappears;
 //!
-//! plus the executor tier:
-//!
-//! * `executor_round` in the JSON — one near-empty `run_blocks` round on the
-//!   **persistent worker pool** vs the same round on the pre-pool scoped
-//!   fork/join executor (`run_blocks_scoped`), at `--epoch-threads` workers.
-//!   This isolates the per-round overhead the pool amortises: the scoped
-//!   executor pays `threads − 1` thread spawns and joins every round, the
-//!   pool a wake and a park;
-//!
 //! plus the serving tier:
 //!
 //! * `ivf_search` in the JSON — batched multi-probe IVF search
@@ -102,7 +93,6 @@ use gkmeans::{GkMeans, GkParams};
 use ivf::{IvfIndex, IvfSearchParams};
 use knn_graph::random::random_graph;
 use vecstore::kernels;
-use vecstore::parallel::{run_blocks, run_blocks_scoped};
 use vecstore::VectorSet;
 
 const DIMS: [usize; 3] = [32, 128, 960];
@@ -122,11 +112,6 @@ const EPOCH_VALUES: usize = 2 * 1024 * 1024;
 fn epoch_queries(dim: usize) -> usize {
     EPOCH_VALUES / dim
 }
-
-/// Blocks per executor-overhead round: enough that the dynamic claim queue
-/// actually cycles, few enough that the round is dominated by executor cost,
-/// not work.
-const EXECUTOR_BLOCKS: usize = 64;
 
 /// Shape of the IVF serving-tier measurement: SIFT dimensionality at the
 /// large-k assignment shape, probing the CI-gated `nprobe`.
@@ -512,50 +497,6 @@ fn main() {
             });
         }
     }
-
-    // Executor round overhead: a near-empty round on the persistent pool vs
-    // the scoped fork/join executor it replaced.  The block body is a few ns
-    // of arithmetic, so the measured time is almost entirely the executor's
-    // per-round cost (pool: wake + park; scoped: spawn + join per worker).
-    let executor_round_json = {
-        let time_round = |body: &dyn Fn() -> usize| -> f64 {
-            // warm-up (also spawns the pool workers once, like a real fit)
-            let mut sink = 0usize;
-            for _ in 0..8 {
-                sink += body();
-            }
-            let mut best = f64::INFINITY;
-            for _ in 0..TIME_CHUNKS {
-                let rounds = 50u32;
-                let start = Instant::now();
-                for _ in 0..rounds {
-                    sink += body();
-                }
-                best = best.min(start.elapsed().as_secs_f64() * 1e6 / f64::from(rounds));
-            }
-            std::hint::black_box(sink);
-            best
-        };
-        let pool_us = time_round(&|| {
-            run_blocks(epoch_threads, EXECUTOR_BLOCKS, |b| b * b)
-                .iter()
-                .sum()
-        });
-        let scoped_us = time_round(&|| {
-            run_blocks_scoped(epoch_threads, EXECUTOR_BLOCKS, |b| b * b)
-                .iter()
-                .sum()
-        });
-        let speedup = scoped_us / pool_us;
-        println!(
-            "executor_round         {EXECUTOR_BLOCKS} blocks @ {epoch_threads} threads: \
-             scoped {scoped_us:.1} us/round, pool {pool_us:.1} us/round ({speedup:.2}x)"
-        );
-        format!(
-            "  \"executor_round\": {{\"threads\": {epoch_threads}, \"blocks\": {EXECUTOR_BLOCKS}, \
-             \"scoped_us\": {scoped_us:.3}, \"pool_us\": {pool_us:.3}, \"speedup\": {speedup:.3}}},\n"
-        )
-    };
 
     // Serving tier: batched multi-probe IVF search vs the per-query loop on
     // the same index.  Results are bit-identical (kernel tiling invariant);
@@ -1251,7 +1192,6 @@ fn main() {
     json.push_str(&format!("  \"assign_queries\": {ASSIGN_QUERIES},\n"));
     json.push_str(&format!("  \"epoch_values_per_call\": {EPOCH_VALUES},\n"));
     json.push_str("  \"unit\": \"ns_per_distance_eval\",\n");
-    json.push_str(&executor_round_json);
     json.push_str(&ivf_search_json);
     json.push_str(&ivf_search_sq8_json);
     json.push_str(&serve_latency_json);

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use gkmeans::{GkParams, KnnGraphBuilder, ParallelKnnGraphBuilder};
+use gkmeans::{GkParams, KnnGraphBuilder};
 use knn_graph::brute::{exact_graph, exact_neighbors_of_subset};
 use knn_graph::io::write_graph;
 use knn_graph::nn_descent::{nn_descent_with_stats, NnDescentParams};
@@ -18,11 +18,13 @@ use crate::error::CliError;
 /// Usage text for `build-graph`.
 pub const USAGE: &str = "\
 build-graph --base <base.fvecs> --out <graph.bin>
-            [--method alg3|alg3-par|nn-descent|nsw|exact]   (default alg3)
+            [--method alg3|nn-descent|nsw|exact]   (default alg3)
             [--graph-k <neighbours>]  [--kappa <k>] [--xi <size>] [--tau <rounds>]
             [--seed <u64>] [--estimate-recall <samples>]
 Builds the KNN graph with Alg. 3 (GK-means-driven construction), NN-Descent,
-NSW or exhaustive search, and reports the construction cost.";
+NSW or exhaustive search, and reports the construction cost.  `alg3` runs on
+GKM_THREADS workers when that variable is set (the graph is the same at any
+thread count).";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
@@ -55,18 +57,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 g,
                 format!(
                     "{} refinement distance evals over {} rounds",
-                    stats.refine_distance_evals, stats.rounds
-                ),
-            )
-        }
-        "alg3-par" => {
-            let (g, stats) = ParallelKnnGraphBuilder::new(params)
-                .graph_k(graph_k)
-                .build(&data);
-            (
-                g,
-                format!(
-                    "{} refinement distance evals over {} rounds (parallel refinement)",
                     stats.refine_distance_evals, stats.rounds
                 ),
             )
@@ -104,7 +94,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         ),
         other => {
             return Err(CliError::Usage(format!(
-                "unknown method `{other}`; expected alg3, alg3-par, nn-descent, nsw or exact"
+                "unknown method `{other}`; expected alg3, nn-descent, nsw or exact"
             )))
         }
     };

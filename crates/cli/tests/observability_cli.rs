@@ -227,6 +227,25 @@ fn serve_trace_stats_scrape_shutdown_round_trip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // The threaded Alg. 3 method is gone (`alg3` honours GKM_THREADS); its
+    // old name is now an unknown method, a usage error.
+    let graph_s = dir.join("g.bin");
+    let method = concat!("alg3", "-par");
+    let out = gkm(&[
+        "build-graph",
+        "--base",
+        base_s,
+        "--out",
+        graph_s.to_str().unwrap(),
+        "--method",
+        method,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("expected alg3, nn-descent, nsw or exact"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Graceful shutdown: the drain summary counters match what `stats` saw.
     ok_stdout(&gkm(&["query", "--addr", &addr, "--shutdown"]));

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use eval::{average_distortion, cooccurrence_by_rank, PhaseTimer, Series, Table};
     pub use gkmeans::{
         BoostKMeans, ClusterState, GkMeans, GkMeansPipeline, GkMode, GkParams, KnnGraphBuilder,
-        OnlineGkMeans, ParallelKnnGraphBuilder, PipelineOutcome,
+        PipelineOutcome,
     };
     pub use ivf::{evaluate as evaluate_ivf, IvfIndex, IvfReport, IvfSearchParams};
     pub use knn_graph::brute::{exact_graph, exact_ground_truth};

@@ -39,10 +39,23 @@
 //! bound at or below its distance.  The graph is bit for bit the one a
 //! visited set would produce; scoring a pair again costs one kernel call,
 //! less than hashing it into a set did.
+//!
+//! # One refinement path at any thread count
+//!
+//! [`KnnGraphBuilder`] is the only Alg. 3 builder, and `params.threads` only
+//! decides how many workers score pairs.  Every round cuts each cluster's
+//! anchors (members with a later co-member) into fixed blocks of
+//! `REFINE_ANCHOR_BLOCK` anchors, in (cluster, anchor) order.  The blocks
+//! fill their own distance buffers on the worker pool, and the buffers are
+//! then merged into the graph sequentially, in block order.  A pair's
+//! distance comes from the same kernel call whichever worker makes it, and
+//! block boundaries never depend on the thread count, so the graph and the
+//! statistics are bit for bit the same at any `threads`.
 
 use std::time::{Duration, Instant};
 
 use vecstore::kernels;
+use vecstore::parallel::effective_threads;
 use vecstore::VectorSet;
 
 use knn_graph::random::random_graph;
@@ -50,6 +63,12 @@ use knn_graph::KnnGraph;
 
 use crate::gk::GkMeans;
 use crate::params::GkParams;
+use crate::two_means::on_blocks;
+
+/// Anchors per refinement work item: small enough that one oversized
+/// cluster splits into many items, large enough to amortise a block's
+/// bookkeeping.
+const REFINE_ANCHOR_BLOCK: usize = 64;
 
 /// Statistics of one construction run.
 #[derive(Clone, Debug, Default)]
@@ -83,7 +102,7 @@ pub struct RoundInfo {
 #[derive(Clone, Debug)]
 pub struct KnnGraphBuilder {
     /// Pipeline parameters; the fields used here are `xi`, `tau`, `kappa`,
-    /// `seed` and `mode`.
+    /// `seed`, `mode` and `threads`.
     pub params: GkParams,
     /// Neighbour-list size of the produced graph; defaults to `params.kappa`.
     pub graph_k: usize,
@@ -156,8 +175,12 @@ impl KnnGraphBuilder {
             .record_trace(false)
             .kappa(self.params.kappa.min(self.graph_k));
 
-        let mut dists: Vec<f32> = Vec::new();
+        let threads = effective_threads(self.params.threads);
         let dim = data.dim();
+        // `(cluster, first anchor, end anchor)` per block, and each block's
+        // distances; both reused by every round.
+        let mut blocks: Vec<(usize, usize, usize)> = Vec::new();
+        let mut dists: Vec<Vec<f32>> = Vec::new();
         for round in 0..self.params.tau {
             stats.rounds = round + 1;
             // Alg. 3 line 7: cluster the data guided by the current graph.
@@ -166,31 +189,52 @@ impl KnnGraphBuilder {
             stats.clustering_distance_evals += clustering.distance_evals;
 
             // Alg. 3 lines 8–14: exhaustive comparison inside every cluster.
-            // For each anchor sample its later co-members are scored in one
-            // batched gather, then merged into the graph in member order.
+            // Each anchor's later co-members are scored in one batched
+            // gather into its block's buffer ...
             let mut members: Vec<Vec<u32>> = vec![Vec::new(); k0];
             for (i, &label) in clustering.labels.iter().enumerate() {
                 members[label].push(i as u32);
             }
-            for cluster in &members {
-                for (a_idx, &i) in cluster.iter().enumerate() {
-                    let partners = &cluster[a_idx + 1..];
-                    if partners.is_empty() {
-                        continue;
-                    }
-                    dists.resize(partners.len(), 0.0);
+            blocks.clear();
+            for (c, cluster) in members.iter().enumerate() {
+                let anchors = cluster.len().saturating_sub(1);
+                for lo in (0..anchors).step_by(REFINE_ANCHOR_BLOCK) {
+                    blocks.push((c, lo, (lo + REFINE_ANCHOR_BLOCK).min(anchors)));
+                }
+            }
+            if dists.len() < blocks.len() {
+                dists.resize_with(blocks.len(), Vec::new);
+            }
+            on_blocks(threads, &mut dists[..blocks.len()], |b, buf| {
+                let (c, lo, hi) = blocks[b];
+                let cluster = &members[c];
+                buf.clear();
+                for a in lo..hi {
+                    let partners = &cluster[a + 1..];
+                    let start = buf.len();
+                    buf.resize(start + partners.len(), 0.0);
                     kernels::l2_sq_one_to_many_indexed(
-                        data.row(i as usize),
+                        data.row(cluster[a] as usize),
                         data.as_flat(),
                         dim,
                         partners,
-                        &mut dists,
+                        &mut buf[start..],
                     );
-                    stats.refine_distance_evals += partners.len() as u64;
-                    for (&j, &d) in partners.iter().zip(&dists) {
-                        stats.graph_updates += graph.update_pair(i as usize, j as usize, d) as u64;
-                    }
                 }
+            });
+            // ... and the buffers are merged into the graph in block order.
+            for (&(c, lo, hi), buf) in blocks.iter().zip(&dists) {
+                let cluster = &members[c];
+                let mut rest = buf.as_slice();
+                for a in lo..hi {
+                    let (i, partners) = (cluster[a] as usize, &cluster[a + 1..]);
+                    let (head, tail) = rest.split_at(partners.len());
+                    for (&j, &d) in partners.iter().zip(head) {
+                        stats.graph_updates += graph.update_pair(i, j as usize, d) as u64;
+                    }
+                    rest = tail;
+                }
+                stats.refine_distance_evals += buf.len() as u64;
             }
 
             if let Some(observer) = observer.as_mut() {

@@ -21,16 +21,12 @@
 //! 5. [`construct`] — **KNN-graph construction by fast k-means** (Alg. 3):
 //!    the intertwined process that alternately clusters the data into
 //!    fixed-size groups and refines the graph by exhaustive in-cluster
-//!    comparison;
+//!    comparison.  Its one builder scores the in-cluster pairs in fixed
+//!    blocks of anchors on the same worker pool and merges them in block
+//!    order, so the graph is bit-identical at any thread count;
 //! 6. [`pipeline`] — the two-phase driver used in the experiments: build the
 //!    graph with Alg. 3, then cluster with Alg. 2, reporting the same
-//!    initialisation / iteration time split as Tab. 2;
-//! 7. [`parallel`] — a rayon-parallel variant of the Alg. 3 refinement step
-//!    that produces a bit-identical graph (deployment convenience; every
-//!    *measured* path in the benches stays single-threaded like the paper's);
-//! 8. [`online`] — the paper's future-work direction: incremental insertion
-//!    into an existing clustering + graph, with periodic graph-guided
-//!    refinement passes.
+//!    initialisation / iteration time split as Tab. 2.
 //!
 //! # Quickstart
 //!
@@ -58,8 +54,6 @@ pub mod construct;
 pub mod epoch;
 pub mod gk;
 pub mod objective;
-pub mod online;
-pub mod parallel;
 pub mod params;
 pub mod pipeline;
 pub mod state;
@@ -69,8 +63,95 @@ pub use boost::BoostKMeans;
 pub use construct::{GraphBuildStats, KnnGraphBuilder};
 pub use epoch::{BoostEpochEngine, TraditionalEpochEngine, NORM_REFRESH_INTERVAL};
 pub use gk::{GkMeans, GkMode};
-pub use online::OnlineGkMeans;
-pub use parallel::ParallelKnnGraphBuilder;
 pub use params::GkParams;
 pub use pipeline::{GkMeansPipeline, PipelineOutcome};
 pub use state::ClusterState;
+
+/// Thread-count checks of the one Alg. 3 builder: [`KnnGraphBuilder`] run
+/// on the worker pool must build the graph it builds on one thread.
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use crate::{GkParams, KnnGraphBuilder};
+        use baselines::common::average_distortion;
+        use rand::Rng;
+        use vecstore::sample::rng_from_seed;
+        use vecstore::VectorSet;
+
+        fn clustered(n: usize, dim: usize, groups: usize, seed: u64) -> VectorSet {
+            let mut rng = rng_from_seed(seed);
+            let mut rows = Vec::with_capacity(n);
+            for i in 0..n {
+                let g = i % groups;
+                let mut row = Vec::with_capacity(dim);
+                for d in 0..dim {
+                    let centre = ((g * 5 + d) % 11) as f32 * 6.0;
+                    row.push(centre + rng.gen_range(-0.6..0.6));
+                }
+                rows.push(row);
+            }
+            VectorSet::from_rows(rows).unwrap()
+        }
+
+        #[test]
+        fn parallel_builder_matches_sequential_graph_exactly() {
+            let data = clustered(500, 8, 10, 1);
+            let params = GkParams::default().xi(20).tau(4).kappa(6).seed(3);
+            let (seq, seq_stats) = KnnGraphBuilder::new(params.threads(1))
+                .graph_k(6)
+                .build(&data);
+            let (par, par_stats) = KnnGraphBuilder::new(params.threads(4))
+                .graph_k(6)
+                .build(&data);
+            assert_eq!(seq_stats.rounds, par_stats.rounds);
+            assert_eq!(
+                seq_stats.refine_distance_evals,
+                par_stats.refine_distance_evals
+            );
+            assert_eq!(seq_stats.graph_updates, par_stats.graph_updates);
+            for i in 0..data.len() {
+                let a: Vec<(u32, f32)> = seq
+                    .neighbors(i)
+                    .as_slice()
+                    .iter()
+                    .map(|n| (n.id, n.dist))
+                    .collect();
+                let b: Vec<(u32, f32)> = par
+                    .neighbors(i)
+                    .as_slice()
+                    .iter()
+                    .map(|n| (n.id, n.dist))
+                    .collect();
+                assert_eq!(a, b, "neighbour list of sample {i} differs");
+            }
+        }
+
+        #[test]
+        fn observer_fires_every_round() {
+            let data = clustered(200, 5, 5, 9);
+            let params = GkParams::default()
+                .xi(20)
+                .tau(5)
+                .kappa(4)
+                .seed(11)
+                .threads(4);
+            let mut rounds = Vec::new();
+            let (_, stats) = KnnGraphBuilder::new(params)
+                .graph_k(4)
+                .build_with_observer(&data, |info| rounds.push(info.round));
+            assert_eq!(rounds, vec![1, 2, 3, 4, 5]);
+            assert_eq!(stats.rounds, 5);
+        }
+
+        #[test]
+        fn empty_input_is_handled() {
+            let empty = VectorSet::zeros(0, 4).unwrap();
+            let (g, stats) =
+                KnnGraphBuilder::new(GkParams::default().tau(2).threads(4)).build(&empty);
+            assert_eq!(g.len(), 0);
+            assert_eq!(stats.rounds, 0);
+            let centroids = VectorSet::zeros(1, 4).unwrap();
+            assert_eq!(average_distortion(&empty, &[], &centroids), 0.0);
+        }
+    }
+}

@@ -60,8 +60,9 @@ pub struct GkParams {
     /// Traditional (GK-means⁻) epochs batch the same way against the epoch's
     /// fixed centroids.  The two-means-tree initialisation rides the same
     /// worker pool (fixed-block merges plus delta-batched refinement rounds
-    /// that re-snapshot after every committed move).  Threads change
-    /// wall-clock time and nothing else.
+    /// that re-snapshot after every committed move), and so does Alg. 3's
+    /// refinement (fixed anchor blocks merged into the graph in block
+    /// order).  Threads change wall-clock time and nothing else.
     ///
     /// Defaults to the `GKM_THREADS` environment override when set (see
     /// [`vecstore::parallel::threads_from_env`]), which is how CI re-runs the

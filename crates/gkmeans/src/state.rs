@@ -240,30 +240,6 @@ impl ClusterState {
         }
     }
 
-    /// Appends a *new* sample (row `x`) directly into cluster `v`, updating
-    /// the composite vector, cached norm and size in `O(d)`.  The sample gets
-    /// index `len()` (append order), mirroring how the online extension grows
-    /// the dataset.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `v >= k` or when `x` has the wrong dimensionality.
-    pub fn push_sample(&mut self, x: &[f32], v: usize) -> usize {
-        assert!(v < self.k, "cluster {v} out of range for k={}", self.k);
-        assert_eq!(x.len(), self.dim, "sample dimensionality mismatch");
-        let x_norm_sq = norm_sq_f64(x);
-        let dv_dot_x = dot_f64_f32(self.composite(v), x);
-        self.composite_norm_sq[v] += 2.0 * dv_dot_x + x_norm_sq;
-        let dim = self.dim;
-        let cv = &mut self.composite[v * dim..(v + 1) * dim];
-        for (c, &xv) in cv.iter_mut().zip(x) {
-            *c += f64::from(xv);
-        }
-        self.sizes[v] += 1;
-        self.labels.push(v);
-        self.labels.len() - 1
-    }
-
     /// Derives the centroid matrix `C_r = D_r / n_r`.  Empty clusters get a
     /// zero centroid.
     pub fn centroids(&self) -> VectorSet {

@@ -252,9 +252,10 @@ impl Arena {
 /// Runs `f(block, scratch)` for every scratch of `blocks` on up to `threads`
 /// pool participants; block `b` always gets `blocks[b]`, whatever the thread
 /// count.
-fn on_blocks<F>(threads: usize, blocks: &mut [BlockScratch], f: F)
+pub(crate) fn on_blocks<T, F>(threads: usize, blocks: &mut [T], f: F)
 where
-    F: Fn(usize, &mut BlockScratch) + Sync,
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
 {
     let n = blocks.len();
     // `run_mut_blocks` cuts two slices; the second is a zero-sized stand-in.

@@ -1,4 +1,4 @@
-//! Thread-count invariance of the epoch engines.
+//! Thread-count invariance of the epoch engines and of the Alg. 3 builder.
 //!
 //! The `threads` knob guarantees **bit-identical output at any thread
 //! count**: the delta-batched rounds replay the paper's sequential visit
@@ -320,5 +320,61 @@ fn threaded_boost_still_converges_and_distortion_is_non_increasing() {
     assert!(!d.is_empty());
     for w in d.windows(2) {
         assert!(w[1] <= w[0] + 1e-6, "{w:?}");
+    }
+}
+
+#[test]
+fn knn_graph_builder_is_bit_identical_at_any_thread_count() {
+    use gkmeans::KnnGraphBuilder;
+    use knn_graph::KnnGraph;
+
+    // (n, d, ξ, τ, κ, seed): ξ = 200 leaves clusters of ~200 members, cut
+    // into several 64-anchor blocks; ξ = 2 and 3 leave clusters of two or
+    // three that the one GK-means pass per round turns into 1-member
+    // clusters, whose lone member anchors no block.
+    let shapes = [
+        (600, 8, 200, 3, 6, 11),
+        (500, 12, 50, 4, 8, 3),
+        (150, 5, 2, 4, 3, 21),
+        (120, 3, 3, 5, 4, 9),
+    ];
+    let lists = |g: &KnnGraph| -> Vec<Vec<(u32, u32)>> {
+        g.iter()
+            .map(|(_, list)| {
+                list.as_slice()
+                    .iter()
+                    .map(|nb| (nb.id, nb.dist.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    for (n, d, xi, tau, kappa, seed) in shapes {
+        let data = lattice(n, d);
+        let params = GkParams::default().xi(xi).tau(tau).kappa(kappa).seed(seed);
+        let build = |threads: usize| {
+            let mut rounds = Vec::new();
+            let (graph, stats) =
+                KnnGraphBuilder::new(params.threads(threads)).build_with_observer(&data, |info| {
+                    rounds.push((info.round, info.distortion.to_bits()));
+                });
+            (lists(&graph), stats, rounds)
+        };
+        let (graph, stats, rounds) = build(1);
+        assert_eq!(rounds.len(), tau, "n={n} ξ={xi}: one observation per round");
+        assert!(stats.refine_distance_evals > 0 && stats.graph_updates > 0);
+        for threads in [2usize, 4, 7] {
+            let what = format!("n={n} ξ={xi} threads={threads}");
+            let (t_graph, t_stats, t_rounds) = build(threads);
+            assert_eq!(graph, t_graph, "{what}: lists");
+            assert_eq!(
+                stats.refine_distance_evals, t_stats.refine_distance_evals,
+                "{what}: refine_distance_evals"
+            );
+            assert_eq!(
+                stats.graph_updates, t_stats.graph_updates,
+                "{what}: graph_updates"
+            );
+            assert_eq!(rounds, t_rounds, "{what}: observer sequence");
+        }
     }
 }

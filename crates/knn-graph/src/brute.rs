@@ -3,15 +3,17 @@
 //! Complexity `O(n²·d)` — the paper reports "more than 20 hours" to produce
 //! the SIFT1M ground truth this way (Sec. 5.1).  It is used exclusively for
 //! evaluation: computing graph recall and the ANN-search ground truth.  Since
-//! it is not one of the measured algorithms it is parallelised with rayon
-//! over *query row blocks*, and each block scans the base matrix through the
-//! register-blocked many-to-many tile kernel — the base rows loaded for one
-//! tile are reused across the whole query block instead of being re-streamed
-//! once per query.
+//! it is not one of the measured algorithms it runs on every core, one
+//! *query row block* per work item of the workspace's worker pool
+//! ([`vecstore::parallel::run_blocks`]), and each block scans the base matrix
+//! through the register-blocked many-to-many tile kernel — the base rows
+//! loaded for one tile are reused across the whole query block instead of
+//! being re-streamed once per query.
 
-use rayon::prelude::*;
+use std::num::NonZeroUsize;
 
 use vecstore::kernels;
+use vecstore::parallel::run_blocks;
 use vecstore::VectorSet;
 
 use crate::graph::{KnnGraph, Neighbor, NeighborList};
@@ -64,28 +66,26 @@ fn scan_blocked(
 ) -> Vec<NeighborList> {
     let m = queries.len();
     let d = queries.dim();
-    let starts: Vec<usize> = (0..m).step_by(QUERY_BLOCK.max(1)).collect();
-    let per_block: Vec<Vec<NeighborList>> = starts
-        .par_iter()
-        .map(|&q0| {
-            let q1 = (q0 + QUERY_BLOCK).min(m);
-            let mut lists: Vec<NeighborList> =
-                (q0..q1).map(|_| NeighborList::with_capacity(k)).collect();
-            let skip: Vec<Option<usize>> = (q0..q1).map(&exclude).collect();
-            let mut panel = vec![0.0f32; (q1 - q0) * SCAN_BLOCK];
-            let queries_flat = &queries.as_flat()[q0 * d..q1 * d];
-            scan_tiles(base, queries_flat, &mut panel, |qi, j, dist| {
-                if skip[qi] == Some(j) {
-                    return;
-                }
-                let list = &mut lists[qi];
-                if dist < list.upper_bound() {
-                    list.insert(Neighbor::new(j as u32, dist));
-                }
-            });
-            lists
-        })
-        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let per_block = run_blocks(threads, m.div_ceil(QUERY_BLOCK), |b| {
+        let q0 = b * QUERY_BLOCK;
+        let q1 = (q0 + QUERY_BLOCK).min(m);
+        let mut lists: Vec<NeighborList> =
+            (q0..q1).map(|_| NeighborList::with_capacity(k)).collect();
+        let skip: Vec<Option<usize>> = (q0..q1).map(&exclude).collect();
+        let mut panel = vec![0.0f32; (q1 - q0) * SCAN_BLOCK];
+        let queries_flat = &queries.as_flat()[q0 * d..q1 * d];
+        scan_tiles(base, queries_flat, &mut panel, |qi, j, dist| {
+            if skip[qi] == Some(j) {
+                return;
+            }
+            let list = &mut lists[qi];
+            if dist < list.upper_bound() {
+                list.insert(Neighbor::new(j as u32, dist));
+            }
+        });
+        lists
+    });
     per_block.into_iter().flatten().collect()
 }
 

@@ -202,14 +202,6 @@ impl KnnGraph {
         self.lists[i] = list;
     }
 
-    /// Appends a new, empty node to the graph and returns its index (used by
-    /// online/incremental extensions that grow the dataset after the graph
-    /// has been built).
-    pub fn add_node(&mut self) -> usize {
-        self.lists.push(NeighborList::with_capacity(self.k));
-        self.lists.len() - 1
-    }
-
     /// Average number of stored neighbours per sample; equals `k` once every
     /// list is full.
     pub fn mean_degree(&self) -> f64 {

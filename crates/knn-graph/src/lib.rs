@@ -11,8 +11,8 @@
 //! * [`graph::KnnGraph`] and [`graph::NeighborList`] — the graph itself, with
 //!   bounded ordered insertion and visited-pair deduplication;
 //! * [`brute`] — exact construction by exhaustive comparison (the ground
-//!   truth used for recall, Sec. 5.1), parallelised with rayon because it is
-//!   `O(n²·d)` and only used for evaluation;
+//!   truth used for recall, Sec. 5.1), run on every core of the workspace's
+//!   worker pool because it is `O(n²·d)` and only used for evaluation;
 //! * [`random`] — random initial graphs (Alg. 3 line 4);
 //! * [`nn_descent`] — an NN-Descent ("KGraph") implementation used for the
 //!   "KGraph+GK-means" baseline runs;

@@ -19,9 +19,6 @@
 //! counter (stragglers are load-balanced), and park again once the round's
 //! counter is exhausted.  Results land in a slot vector indexed by block, so
 //! the caller's merge loop is the same code whether 1 or 64 threads ran.
-//! [`run_blocks_scoped`] keeps the previous fork/join implementation as the
-//! measured baseline for the pool-overhead benchmark (`bench_kernels`'s
-//! `executor_round` entry).
 //!
 //! [`run_mut_blocks`] extends the same rule to in-place updates over two
 //! parallel slices cut into matching fixed blocks — the shape of the
@@ -240,11 +237,11 @@ impl Drop for BusyGuard {
 /// slot, and a caller that is itself a pool worker (nested use) degrades to
 /// sequential execution instead of deadlocking.
 ///
-/// Determinism is structural and identical to the scoped executor's: block
-/// boundaries are fixed by the caller, blocks are claimed dynamically from an
-/// atomic counter (so stragglers are load-balanced), and every result is
-/// written to the slot its block index owns — the merge order the caller
-/// observes never depends on the thread count.
+/// Determinism is structural: block boundaries are fixed by the caller,
+/// blocks are claimed dynamically from an atomic counter (so stragglers are
+/// load-balanced), and every result is written to the slot its block index
+/// owns — the merge order the caller observes never depends on the thread
+/// count.
 ///
 /// Most code should use the free function [`run_blocks`], which runs on the
 /// process-wide [`WorkerPool::global`] pool:
@@ -625,54 +622,6 @@ where
     WorkerPool::global().try_run(threads, n_blocks, f)
 }
 
-/// The pre-pool executor: forks a scoped thread team, runs the round, joins.
-///
-/// Functionally identical to [`run_blocks`] (same fixed blocks, same
-/// block-order results) but pays `threads − 1` thread spawns and joins on
-/// **every call** — the ~0.2 ms/round overhead the persistent pool
-/// amortises away.  Kept as the measured baseline of the `executor_round`
-/// benchmark case; production paths should always use [`run_blocks`].
-pub fn run_blocks_scoped<R, F>(threads: usize, n_blocks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = threads.max(1).min(n_blocks);
-    if workers <= 1 {
-        return (0..n_blocks).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..n_blocks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_blocks {
-                            break;
-                        }
-                        produced.push((b, f(b)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (b, r) in handle.join().expect("worker thread panicked") {
-                slots[b] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every block index below n_blocks is claimed exactly once"))
-        .collect()
-}
-
 /// A raw pointer asserted to be safe to move across threads.  Every use in
 /// this module hands each thread a *disjoint* region behind the pointer
 /// (slot `b`, or block `b`'s sub-slice), with the round-completion barrier
@@ -780,22 +729,9 @@ mod tests {
     }
 
     #[test]
-    fn run_blocks_scoped_matches_pool_executor() {
-        for threads in [1usize, 2, 4, 7] {
-            assert_eq!(
-                run_blocks_scoped(threads, 23, |b| b * 3 + 1),
-                run_blocks(threads, 23, |b| b * 3 + 1),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn run_blocks_handles_empty_and_single() {
         assert_eq!(run_blocks(4, 0, |b| b), Vec::<usize>::new());
         assert_eq!(run_blocks(4, 1, |b| b + 10), vec![10]);
-        assert_eq!(run_blocks_scoped(4, 0, |b| b), Vec::<usize>::new());
-        assert_eq!(run_blocks_scoped(4, 1, |b| b + 10), vec![10]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property-based tests for the extension modules: NSW construction, the
-//! KD-tree forest, AKM, HKM and the parallel graph builder.
+//! KD-tree forest, AKM, HKM and the Alg. 3 builder's thread-count invariance.
 //!
 //! These complement `property_invariants.rs` (which covers the core data
 //! structures of the paper's own pipeline) with invariants of the comparator
@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 
 use gkm::prelude::*;
-use gkmeans::ParallelKnnGraphBuilder;
 use knn_graph::nsw::truncate_to_k;
 use vecstore::distance::l2_sq;
 
@@ -129,17 +128,19 @@ proptest! {
         prop_assert!(e.is_finite() && e >= 0.0);
     }
 
-    // ------------------------------------------------------- parallel builder
+    // ------------------------------------------------ Alg. 3 thread counts
+    /// The one Alg. 3 builder run sequentially and on four workers.
     #[test]
     fn parallel_and_sequential_builders_agree(rows in clustered_rows(), seed in 0u64..1000) {
         let data = VectorSet::from_rows(rows).unwrap();
         let params = GkParams::default().xi(10).tau(2).kappa(4).seed(seed).record_trace(false);
-        let (seq, _) = KnnGraphBuilder::new(params).graph_k(4).build(&data);
-        let (par, _) = ParallelKnnGraphBuilder::new(params).graph_k(4).build(&data);
+        let (seq, seq_stats) = KnnGraphBuilder::new(params.threads(1)).graph_k(4).build(&data);
+        let (par, par_stats) = KnnGraphBuilder::new(params.threads(4)).graph_k(4).build(&data);
+        prop_assert_eq!(seq_stats.graph_updates, par_stats.graph_updates);
         for i in 0..data.len() {
             prop_assert_eq!(
-                seq.neighbors(i).ids().collect::<Vec<_>>(),
-                par.neighbors(i).ids().collect::<Vec<_>>()
+                seq.neighbors(i).as_slice().iter().map(|nb| (nb.id, nb.dist.to_bits())).collect::<Vec<_>>(),
+                par.neighbors(i).as_slice().iter().map(|nb| (nb.id, nb.dist.to_bits())).collect::<Vec<_>>()
             );
         }
     }
