@@ -61,10 +61,6 @@
 //!
 //! plus the durability tier:
 //!
-//! * `gksc_load` in the JSON — [`ivf::IvfIndex::load`] throughput on the
-//!   checksummed GKSC v2 container vs a legacy unchecksummed v1 image of the
-//!   same index; the CI gate holds the v2 ratio at ≥ 0.8× (hardware CRC-32C
-//!   keeps verification in the noise of the parse);
 //! * `mutate_throughput` / `wal_replay` in the JSON — the crash-consistent
 //!   mutation tier: journalled insert throughput under group-commit fsync
 //!   batching (one fsync per batch), and the journal's decode bandwidth plus
@@ -960,64 +956,6 @@ fn main() {
         )
     };
 
-    // Durable-container load throughput: the checksummed GKSC v2 read path
-    // vs a legacy unchecksummed v1 image of the same index.  The CI gate
-    // holds v2 at ≥ 0.8× the v1 throughput: the CRC pass must stay in the
-    // noise of the parse + copy work, which is what the hardware CRC-32C
-    // dispatch buys.
-    let gksc_load_json = {
-        use std::io::Write as _;
-
-        let data = VectorSet::from_flat(test_block(IVF_N, IVF_D, 0.7), IVF_D).expect("whole rows");
-        let centroids =
-            VectorSet::from_flat(test_block(IVF_K, IVF_D, 9.1), IVF_D).expect("whole rows");
-        let labels: Vec<usize> = (0..IVF_N).map(|i| i % IVF_K).collect();
-        let index = IvfIndex::build(&data, &centroids, &labels).expect("well-formed inputs");
-
-        let dir = std::env::temp_dir().join(format!("gkm-bench-gksc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create bench temp dir");
-        let v2_path = dir.join("index_v2.ivf");
-        let v1_path = dir.join("index_v1.ivf");
-        index
-            .save(v2_path.to_str().expect("utf-8 path"))
-            .expect("save v2");
-        let sections =
-            vecstore::io::read_sections_from(std::fs::File::open(&v2_path).expect("reopen v2"))
-                .expect("parse v2");
-        let mut v1_file =
-            std::io::BufWriter::new(std::fs::File::create(&v1_path).expect("create v1"));
-        vecstore::io::write_sections_v1_to(&mut v1_file, &sections).expect("write v1");
-        v1_file.flush().expect("flush v1");
-        drop(v1_file);
-        let bytes = std::fs::metadata(&v2_path).expect("stat v2").len();
-
-        let time_load = |path: &std::path::Path| -> f64 {
-            let p = path.to_str().expect("utf-8 path");
-            std::hint::black_box(IvfIndex::load(p).expect("load")); // warm the page cache
-            let mut best = f64::INFINITY;
-            for _ in 0..TIME_CHUNKS {
-                let start = Instant::now();
-                let loaded = IvfIndex::load(p).expect("load");
-                best = best.min(start.elapsed().as_secs_f64());
-                std::hint::black_box(loaded);
-            }
-            best
-        };
-        let v2_ms = time_load(&v2_path) * 1e3;
-        let v1_ms = time_load(&v1_path) * 1e3;
-        let ratio = v1_ms / v2_ms;
-        std::fs::remove_dir_all(&dir).ok();
-        let crc_impl = vecstore::checksum::active_impl();
-        println!(
-            "gksc_load              {bytes} bytes via {crc_impl}: \
-             v1 {v1_ms:.2} ms, v2 {v2_ms:.2} ms ({ratio:.2}x of v1 throughput)"
-        );
-        format!(
-            "  \"gksc_load\": {{\"bytes\": {bytes}, \"checksum_impl\": \"{crc_impl}\", \
-             \"v1_ms\": {v1_ms:.3}, \"v2_ms\": {v2_ms:.3}, \"ratio_vs_v1\": {ratio:.3}}},\n"
-        )
-    };
-
     // Mutation tier: journalled insert throughput (group commit — one fsync
     // per batch) and WAL replay bandwidth over the log those inserts wrote.
     // The CI gate checks the accounting, not the speed: a 16384-record
@@ -1196,7 +1134,6 @@ fn main() {
     json.push_str(&ivf_search_sq8_json);
     json.push_str(&serve_latency_json);
     json.push_str(&obs_overhead_json);
-    json.push_str(&gksc_load_json);
     json.push_str(&mutate_throughput_json);
     json.push_str(&wal_replay_json);
     json.push_str(&threaded_init_json);

@@ -24,7 +24,9 @@ build-graph --base <base.fvecs> --out <graph.bin>
 Builds the KNN graph with Alg. 3 (GK-means-driven construction), NN-Descent,
 NSW or exhaustive search, and reports the construction cost.  `alg3` runs on
 GKM_THREADS workers when that variable is set (the graph is the same at any
-thread count).";
+thread count).  --out is written atomically as a checksummed GKSC v2
+container (n and k, list lengths, neighbour ids, distances), the file that
+`cluster`, `search` and `info` read with --graph.";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
@@ -100,7 +102,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     };
     let elapsed = start.elapsed();
 
-    write_graph(&out, &graph).map_err(|e| CliError::graph(format!("cannot write {out}"), e))?;
+    write_graph(&out, &graph).map_err(|e| CliError::store(format!("cannot write {out}"), e))?;
     println!(
         "built `{method}` graph (k = {}, mean degree {:.1}) in {:.2}s — {cost_note}",
         graph.k(),

@@ -145,7 +145,7 @@ pub(crate) fn run_method(
         let pipeline = GkMeansPipeline::new(params);
         let outcome = if let Some(path) = graph_path {
             let graph =
-                read_graph(path).map_err(|e| CliError::graph(format!("cannot read {path}"), e))?;
+                read_graph(path).map_err(|e| CliError::store(format!("cannot read {path}"), e))?;
             pipeline.cluster_with_graph(data, k, graph, Duration::ZERO)
         } else {
             pipeline.cluster(data, k)

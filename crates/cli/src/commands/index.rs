@@ -54,9 +54,9 @@ quantized tier against the exact path.";
 /// Usage text for `index verify`.
 pub const VERIFY_USAGE: &str = "\
 index verify --index <index.ivf>
-             [--strict]          (require the checksummed v2 container;
-                                  legacy v1 files are rejected, and a torn
-                                  journal tail is treated as corruption)
+             [--strict]          (treat a torn journal tail — an
+                                  unacknowledged partial append — as
+                                  corruption)
              [--spot-check <n>]  (exhaustively search n stored vectors —
                                   panel rows AND journal-replayed append
                                   rows — and require each live one to come
@@ -67,7 +67,8 @@ index verify --index <index.ivf>
                                   also reports quantization stats)
              [--json]            (machine-readable report)
 Validates a saved IVF index: container checksums, framing, and cross-section
-invariants are checked on load; --spot-check additionally replays stored
+invariants are checked on load (a container in any version but the current
+GKSC v2, the unchecksummed v1 included, is corrupt); --spot-check additionally replays stored
 vectors through an exact scan.  When a mutation journal (<index>.wal) rides
 beside the checkpoint it is audited too — record CRCs, length complements,
 dense monotone sequence numbers, decodable mutation ops, and a start sequence
@@ -334,12 +335,8 @@ pub fn run_verify(args: &Args) -> Result<(), CliError> {
     let json = args.flag("json");
     args.finish()?;
 
-    let mut index = if strict {
-        IvfIndex::load_strict(&index_path)
-    } else {
-        IvfIndex::load(&index_path)
-    }
-    .map_err(|e| CliError::store(format!("cannot verify {index_path}"), e))?;
+    let mut index = IvfIndex::load(&index_path)
+        .map_err(|e| CliError::store(format!("cannot verify {index_path}"), e))?;
     if sq8 && !index.is_quantized() {
         return Err(CliError::Usage(format!(
             "--sq8 requires a quantized index, but {index_path} carries no SQ8 tier \

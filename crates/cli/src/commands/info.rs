@@ -10,7 +10,9 @@ use crate::error::CliError;
 /// Usage text for `info`.
 pub const USAGE: &str = "\
 info [--base <base.fvecs>] [--graph <graph.bin>]
-Prints shape and basic statistics of a dataset and/or a saved graph.";
+Prints shape and basic statistics of an .fvecs dataset and/or a graph saved
+by `build-graph` (a checksummed GKSC v2 container: a corrupt or truncated
+graph file exits 4).";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
@@ -44,7 +46,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     }
 
     if let Some(path) = graph {
-        let g = read_graph(&path).map_err(|e| CliError::graph(format!("cannot read {path}"), e))?;
+        let g = read_graph(&path).map_err(|e| CliError::store(format!("cannot read {path}"), e))?;
         println!(
             "{path}: KNN graph over {} samples, k = {}, mean degree {:.1}, {} stored edges",
             g.len(),

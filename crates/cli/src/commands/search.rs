@@ -31,7 +31,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     let base = read_fvecs(&base_path)
         .map_err(|e| CliError::store(format!("cannot read {base_path}"), e))?;
     let graph = read_graph(&graph_path)
-        .map_err(|e| CliError::graph(format!("cannot read {graph_path}"), e))?;
+        .map_err(|e| CliError::store(format!("cannot read {graph_path}"), e))?;
     let queries = read_fvecs(&query_path)
         .map_err(|e| CliError::store(format!("cannot read {query_path}"), e))?;
     if graph.len() != base.len() {

@@ -14,8 +14,6 @@
 //! shell-level failure produces), so every *classified* failure is
 //! distinguishable from an unclassified crash.
 
-use knn_graph::io::GraphIoError;
-
 /// A classified CLI failure; the variant decides the process exit code.
 #[derive(Debug)]
 pub enum CliError {
@@ -72,15 +70,6 @@ impl CliError {
             vecstore::Error::Io(_) => CliError::Io(msg),
             e if e.is_corruption() => CliError::Corrupt(msg),
             _ => CliError::Internal(msg),
-        }
-    }
-
-    /// Classifies a [`GraphIoError`] under a `context` prefix.
-    pub fn graph(context: impl std::fmt::Display, e: GraphIoError) -> Self {
-        let msg = format!("{context}: {e}");
-        match &e {
-            GraphIoError::Io(_) => CliError::Io(msg),
-            GraphIoError::Malformed(_) => CliError::Corrupt(msg),
         }
     }
 
@@ -149,9 +138,14 @@ mod tests {
 
     #[test]
     fn graph_errors_classify_by_kind() {
-        let io = GraphIoError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
-        assert!(matches!(CliError::graph("ctx", io), CliError::Io(_)));
-        let bad = GraphIoError::Malformed("short".into());
-        assert!(matches!(CliError::graph("ctx", bad), CliError::Corrupt(_)));
+        let dir = std::env::temp_dir().join(format!("gkm-cli-graph-err-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let missing = knn_graph::io::read_graph(dir.join("missing.bin")).unwrap_err();
+        assert!(matches!(CliError::store("ctx", missing), CliError::Io(_)));
+        let path = dir.join("bad.bin");
+        std::fs::write(&path, b"not a graph container").unwrap();
+        let bad = knn_graph::io::read_graph(&path).unwrap_err();
+        assert!(matches!(CliError::store("ctx", bad), CliError::Corrupt(_)));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -554,6 +554,27 @@ mod tests {
         let err = cmd(&["index", "search", "--index", &bad, "--queries", &queries]).unwrap_err();
         assert_eq!(err.exit_code(), 4, "{err}");
 
+        // The retired unchecksummed v1 framing of the same sections is
+        // corruption too, without --strict.
+        let sections =
+            vecstore::io::read_sections_from(std::fs::read(&index).unwrap().as_slice()).unwrap();
+        let mut v1 = b"GKSC".to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(sections.len() as u64).to_le_bytes());
+        for s in &sections {
+            v1.extend_from_slice(&s.tag);
+            v1.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
+            v1.extend_from_slice(&s.payload);
+        }
+        let legacy = dir.join("legacy.ivf").to_str().unwrap().to_string();
+        std::fs::write(&legacy, &v1).unwrap();
+        let err = cmd(&["index", "verify", "--index", &legacy]).unwrap_err();
+        assert_eq!(err.exit_code(), 4, "{err}");
+        assert!(
+            err.to_string().contains("unsupported container version 1"),
+            "{err}"
+        );
+
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -633,6 +654,32 @@ mod tests {
         ])
         .unwrap();
         cmd(&["info", "--base", &base, "--graph", &graph]).unwrap();
+
+        // A corrupt --graph is corruption (exit 4) on every command that
+        // reads one: a flipped bit and a truncation alike.
+        let image = std::fs::read(&graph).unwrap();
+        let bad = dir.join("bad.bin").to_str().unwrap().to_string();
+        let mut flipped = image.clone();
+        flipped[image.len() / 2] ^= 0x20;
+        for maimed in [flipped, image[..image.len() - 9].to_vec()] {
+            std::fs::write(&bad, &maimed).unwrap();
+            for line in [
+                &["info", "--graph", &bad][..],
+                &["cluster", "--base", &base, "--k", "15", "--graph", &bad],
+                &[
+                    "search",
+                    "--base",
+                    &base,
+                    "--graph",
+                    &bad,
+                    "--queries",
+                    &queries,
+                ],
+            ] {
+                let err = cmd(line).unwrap_err();
+                assert_eq!(err.exit_code(), 4, "{line:?}: {err}");
+            }
+        }
 
         let written = std::fs::read_to_string(&labels).unwrap();
         assert_eq!(written.lines().count(), 1470); // 1500 minus the 30 queries

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use knn_graph::nsw::{nsw_build, NswParams};
     pub use knn_graph::recall::{graph_recall_at_1, graph_recall_at_r};
     pub use knn_graph::{KnnGraph, Neighbor};
-    pub use vecstore::{Metric, VectorSet};
+    pub use vecstore::VectorSet;
 }
 
 #[cfg(test)]

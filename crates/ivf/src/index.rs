@@ -2,6 +2,7 @@
 //! plus the in-memory mutable tier (per-list append regions and a deletion
 //! tombstone set) behind online inserts/deletes and checkpointed compaction.
 
+use vecstore::matrix::check_finite_row;
 use vecstore::{kernels, Error, Result, VectorSet};
 
 /// The mutable tail of one inverted list: vectors inserted since the last
@@ -414,6 +415,8 @@ impl IvfIndex {
     /// # Errors
     ///
     /// * [`Error::DimensionMismatch`] when `vector.len() != self.dim()`;
+    /// * [`Error::NonFinite`] when a component is NaN or infinite (reported
+    ///   as row 0);
     /// * [`Error::InvalidParameter`] when the `u32` id space is exhausted.
     pub fn insert(&mut self, vector: &[f32]) -> Result<u32> {
         let id = self.next_id;
@@ -433,6 +436,8 @@ impl IvfIndex {
     /// # Errors
     ///
     /// * [`Error::DimensionMismatch`] on a wrong-length vector;
+    /// * [`Error::NonFinite`] when a component is NaN or infinite: such a
+    ///   row has no nearest centroid and would outrank every real neighbour;
     /// * [`Error::InvalidParameter`] when `id` is below `next_id` (a replay
     ///   ordering violation) or at `u32::MAX`.
     pub fn apply_insert(&mut self, id: u32, vector: &[f32]) -> Result<()> {
@@ -442,6 +447,7 @@ impl IvfIndex {
                 found: vector.len(),
             });
         }
+        check_finite_row(0, vector)?;
         if id < self.next_id {
             return Err(Error::InvalidParameter(format!(
                 "insert id {id} is below the next monotone id {}",

@@ -38,9 +38,10 @@
 //! then the cross-section invariants (monotonic offsets covering exactly the
 //! panel, matching dimensionalities); all corruption surfaces as the typed
 //! [`StoreError`] taxonomy, so a corrupted file fails loudly — with the
-//! section and byte offset — instead of serving wrong neighbours.  Legacy
-//! unchecksummed (v1) files still load; [`IvfIndex::load_strict`] rejects
-//! them.
+//! section and byte offset — instead of serving wrong neighbours.  There is
+//! one reader: a file in any container version but the current one (the
+//! retired unchecksummed v1 included) is refused as
+//! [`StoreError::UnsupportedVersion`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -49,8 +50,9 @@ use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 use vecstore::io::{
-    atomic_write, read_sections_from, read_sections_strict_from, vector_set_from_bytes,
-    vector_set_to_bytes, write_sections_to, Section,
+    atomic_write, f32s_from_bytes, f32s_to_bytes, read_sections_from, u32s_from_bytes,
+    u32s_to_bytes, u64s_from_bytes, u64s_to_bytes, vector_set_from_bytes, vector_set_to_bytes,
+    write_sections_to, Section,
 };
 use vecstore::{Error, Result, StoreError};
 
@@ -73,75 +75,6 @@ fn invariant(section: &str, detail: String) -> Error {
     .into()
 }
 
-fn u64s_to_bytes(values: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for &v in values {
-        out.extend_from_slice(&(v as u64).to_le_bytes());
-    }
-    out
-}
-
-fn u64s_from_bytes(bytes: &[u8], what: &str) -> Result<Vec<usize>> {
-    if bytes.len() % 8 != 0 {
-        return Err(invariant(
-            what,
-            format!("payload of {} bytes is not whole u64 values", bytes.len()),
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c);
-            u64::from_le_bytes(a) as usize
-        })
-        .collect())
-}
-
-fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn f32s_from_bytes(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| {
-            let mut a = [0u8; 4];
-            a.copy_from_slice(c);
-            f32::from_le_bytes(a)
-        })
-        .collect()
-}
-
-fn u32s_to_bytes(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn u32s_from_bytes(bytes: &[u8], what: &str) -> Result<Vec<u32>> {
-    if bytes.len() % 4 != 0 {
-        return Err(invariant(
-            what,
-            format!("payload of {} bytes is not whole u32 values", bytes.len()),
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| {
-            let mut a = [0u8; 4];
-            a.copy_from_slice(c);
-            u32::from_le_bytes(a)
-        })
-        .collect())
-}
-
 impl IvfIndex {
     /// Writes the index to `path` **atomically** (see the module docs for the
     /// layout): the bytes go to a temp file in the same directory, are
@@ -155,7 +88,7 @@ impl IvfIndex {
         atomic_write(path, |w| self.write_to(&mut *w))
     }
 
-    /// Writes the index to an arbitrary writer (checksummed v2 framing).
+    /// Writes the index to an arbitrary writer.
     ///
     /// # Errors
     ///
@@ -194,9 +127,8 @@ impl IvfIndex {
         write_sections_to(writer, &sections)
     }
 
-    /// Reads an index written by [`IvfIndex::save`].  Checksummed (v2) files
-    /// have every checksum verified; legacy v1 files load without checksums —
-    /// use [`IvfIndex::load_strict`] to reject those.
+    /// Reads an index written by [`IvfIndex::save`], verifying every
+    /// checksum and cross-section invariant.
     ///
     /// # Errors
     ///
@@ -208,23 +140,9 @@ impl IvfIndex {
         Self::read_from(BufReader::new(file))
     }
 
-    /// Like [`IvfIndex::load`], but refuses unchecksummed (v1) files with
-    /// [`StoreError::Unchecksummed`] — for deployments that must rule out
-    /// silent bit-rot.
-    pub fn load_strict(path: impl AsRef<Path>) -> Result<Self> {
-        let file = File::open(path)?;
-        Self::read_strict_from(BufReader::new(file))
-    }
-
-    /// Reads an index from an arbitrary reader (lenient: v1 and v2).
+    /// Reads an index from an arbitrary reader.
     pub fn read_from(reader: impl Read) -> Result<Self> {
         Self::from_sections(read_sections_from(reader)?)
-    }
-
-    /// Reads an index from an arbitrary reader, rejecting unchecksummed (v1)
-    /// framing.
-    pub fn read_strict_from(reader: impl Read) -> Result<Self> {
-        Self::from_sections(read_sections_strict_from(reader)?)
     }
 
     fn from_sections(sections: Vec<Section>) -> Result<Self> {
@@ -364,8 +282,8 @@ impl IvfIndex {
                         ),
                     ));
                 }
-                let mins = f32s_from_bytes(&sq.payload[..k * d * 4]);
-                let scales = f32s_from_bytes(&sq.payload[k * d * 4..]);
+                let mins = f32s_from_bytes(&sq.payload[..k * d * 4], TAG_SQ)?;
+                let scales = f32s_from_bytes(&sq.payload[k * d * 4..], TAG_SQ)?;
                 if mins.iter().any(|m| !m.is_finite()) {
                     return Err(invariant(
                         TAG_SQ,
@@ -433,8 +351,6 @@ mod tests {
             back.search(&[8.5, 8.5], 2, params),
             index.search(&[8.5, 8.5], 2, params)
         );
-        // New files are checksummed, so strict reading accepts them too.
-        assert_eq!(IvfIndex::read_strict_from(buf.as_slice()).unwrap(), index);
     }
 
     #[test]
@@ -445,24 +361,6 @@ mod tests {
         let mut buf = Vec::new();
         index.write_to(&mut buf).unwrap();
         assert_eq!(IvfIndex::read_from(buf.as_slice()).unwrap(), index);
-    }
-
-    #[test]
-    fn legacy_v1_files_load_leniently_but_fail_strict() {
-        let index = sample_index();
-        let sections = vec![
-            Section::new(TAG_CENTROIDS, vector_set_to_bytes(&index.centroids)),
-            Section::new(TAG_OFFSETS, u64s_to_bytes(&index.offsets)),
-            Section::new(TAG_IDS, u32s_to_bytes(&index.ids)),
-            Section::new(TAG_PANEL, vector_set_to_bytes(&index.panel)),
-        ];
-        let mut v1 = Vec::new();
-        vecstore::io::write_sections_v1_to(&mut v1, &sections).unwrap();
-        assert_eq!(IvfIndex::read_from(v1.as_slice()).unwrap(), index);
-        assert!(matches!(
-            IvfIndex::read_strict_from(v1.as_slice()).unwrap_err(),
-            Error::Store(StoreError::Unchecksummed { version: 1 })
-        ));
     }
 
     #[test]
@@ -522,7 +420,6 @@ mod tests {
         let back = IvfIndex::read_from(buf.as_slice()).unwrap();
         assert!(back.is_quantized());
         assert_eq!(back, index);
-        assert_eq!(IvfIndex::read_strict_from(buf.as_slice()).unwrap(), index);
     }
 
     #[test]
@@ -603,7 +500,6 @@ mod tests {
         let index = sample_index();
         index.save(&path).unwrap();
         assert_eq!(IvfIndex::load(&path).unwrap(), index);
-        assert_eq!(IvfIndex::load_strict(&path).unwrap(), index);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -38,6 +38,8 @@
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 
+use vecstore::io::f32s_from_bytes;
+use vecstore::matrix::check_finite_row;
 use vecstore::wal::{WalObs, WalWriter, MAX_WAL_RECORD};
 use vecstore::{Error, Result, StoreError, VectorSet};
 
@@ -105,9 +107,10 @@ pub fn encode_op(op: &MutationOp) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Invariant`] (corruption class) on an unknown opcode
-/// or a payload whose length disagrees with the declared dimensionality —
-/// the journal passed its CRCs but cannot describe a real mutation.
+/// Returns [`StoreError::Invariant`] (corruption class) on an unknown opcode,
+/// a payload whose length disagrees with the declared dimensionality, or an
+/// insert carrying a NaN or infinity (no correct writer journals one) — the
+/// journal passed its CRCs but cannot describe a real mutation.
 pub fn decode_op(body: &[u8], dim: usize) -> Result<MutationOp> {
     let invariant = |detail: String| -> Error {
         StoreError::Invariant {
@@ -131,14 +134,13 @@ pub fn decode_op(body: &[u8], dim: usize) -> Result<MutationOp> {
             let mut a = [0u8; 4];
             a.copy_from_slice(&body[1..5]);
             let id = u32::from_le_bytes(a);
-            let vector = body[5..]
-                .chunks_exact(4)
-                .map(|c| {
-                    let mut a = [0u8; 4];
-                    a.copy_from_slice(c);
-                    f32::from_le_bytes(a)
-                })
-                .collect();
+            let vector = f32s_from_bytes(&body[5..], RECORD_SECTION)?;
+            if let Some(column) = vector.iter().position(|v| !v.is_finite()) {
+                return Err(invariant(format!(
+                    "insert of id {id} holds non-finite value {} at column {column}",
+                    vector[column]
+                )));
+            }
             Ok(MutationOp::Insert { id, vector })
         }
         OP_DELETE => {
@@ -329,6 +331,12 @@ impl MutableStore {
     /// Inserts a batch under **one** fsync (group commit): every row is
     /// journalled, the journal is synced once, then all rows are applied.
     /// Returns the assigned ids in row order.
+    ///
+    /// # Errors
+    ///
+    /// A wrong-length row ([`Error::DimensionMismatch`]) or a NaN or
+    /// infinite component ([`Error::NonFinite`], naming the row and column)
+    /// rejects the whole batch before anything is journalled.
     pub fn insert_batch(&mut self, vectors: &VectorSet) -> Result<Vec<u32>> {
         let rows: Vec<&[f32]> = vectors.rows().collect();
         self.insert_batch_rows(&rows)
@@ -336,13 +344,16 @@ impl MutableStore {
 
     fn insert_batch_rows(&mut self, rows: &[&[f32]]) -> Result<Vec<u32>> {
         let dim = self.index.dim();
-        for row in rows {
+        // Validate the whole batch before journalling any of it: a rejected
+        // row must leave neither a journal record nor an applied row.
+        for (i, row) in rows.iter().enumerate() {
             if row.len() != dim {
                 return Err(Error::DimensionMismatch {
                     expected: dim,
                     found: row.len(),
                 });
             }
+            check_finite_row(i, row)?;
         }
         let span = rows.len() as u64;
         if u64::from(self.index.next_id) + span > u64::from(u32::MAX) {

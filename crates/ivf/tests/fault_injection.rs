@@ -7,18 +7,16 @@
 //!   one checksum);
 //! * corruption injected *behind* valid checksums (a re-checksummed file
 //!   with broken cross-section invariants) is still rejected;
-//! * legacy unchecksummed v1 images never panic the loader, and whenever one
-//!   does load its answers are bit-identical to the uncorrupted index or it
-//!   errors — never silently different (flips that change payload semantics
-//!   are caught by the cross-section invariants or change nothing we query);
+//! * a legacy unchecksummed v1 image is refused by every reader — the
+//!   index loader and the mutable store alike;
 //! * a torn save (modelled by truncating the file in place) is detected, and
 //!   re-saving restores a loadable index.
 
 use std::io::Cursor;
 
-use ivf::{IvfIndex, IvfSearchParams};
+use ivf::{IvfIndex, IvfSearchParams, MutableStore};
 use vecstore::fault::{corrupt, Fault};
-use vecstore::io::{read_sections_from, write_sections_to, write_sections_v1_to, Section};
+use vecstore::io::{read_sections_from, write_sections_to, Section};
 use vecstore::{Error, StoreError, VectorSet};
 
 /// A small but non-trivial index: 3 lists over 18 points in 3-D, one list
@@ -263,53 +261,48 @@ fn re_checksummed_invariant_violations_are_rejected() {
     );
 }
 
-/// Legacy v1 images (no checksums) under a full bit-flip sweep: the loader
-/// must never panic, and whenever a flipped image still loads, its answers
-/// for our probe queries must be bit-identical to the uncorrupted index *or*
-/// the divergence must live in bytes the queries actually consult — which
-/// for float payloads means the flipped value itself.  We assert the weaker,
-/// crash-focused half of the contract (no panic, typed errors only) plus
-/// that the *unmodified* v1 image loads and answers identically.
-#[test]
-fn v1_bit_flip_sweep_never_panics() {
-    let index = sample_index();
-    let sections = read_sections_from(Cursor::new(saved_image(&index))).unwrap();
+/// The retired unchecksummed v1 framing of `index`'s sections: magic,
+/// version 1, count, then `tag · length · payload` with no CRCs.
+fn v1_image(index: &IvfIndex) -> Vec<u8> {
+    let sections = read_sections_from(Cursor::new(saved_image(index))).unwrap();
     let mut v1 = Vec::new();
-    write_sections_v1_to(&mut v1, &sections).unwrap();
-
-    // Control arm: the lenient loader accepts the v1 image unchanged and
-    // answers exactly like the original.
-    let back = IvfIndex::read_from(Cursor::new(v1.clone())).unwrap();
-    let params = IvfSearchParams::default().nprobe(3);
-    assert_eq!(
-        back.batch_search(&queries(), 4, params),
-        index.batch_search(&queries(), 4, params)
-    );
-
-    // Sweep: every flip either loads (and can be searched without panicking)
-    // or fails with a typed error.  `catch_unwind` would defeat the point —
-    // the assertion *is* that no panic unwinds out of load or search.
-    for byte in 0..v1.len() {
-        for bit in [0u8, 3, 7] {
-            let maimed = corrupt(&v1, Fault::FlipBit { byte, bit });
-            if let Ok(loaded) = IvfIndex::read_from(Cursor::new(maimed)) {
-                let _ = loaded.batch_search(&queries(), 2, params);
-            }
-        }
+    v1.extend_from_slice(b"GKSC");
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&(sections.len() as u64).to_le_bytes());
+    for s in &sections {
+        v1.extend_from_slice(&s.tag);
+        v1.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&s.payload);
     }
+    v1
 }
 
-/// Strict mode refuses v1 images outright — the serving-fleet posture where
-/// unchecksummed artefacts are not trusted at all.
+/// A v1 image is refused by every reader as an unsupported version: the
+/// index loader, and the mutable store, which therefore never serves an
+/// unchecksummed checkpoint.
 #[test]
-fn strict_load_refuses_v1_images() {
-    let sections = read_sections_from(Cursor::new(saved_image(&sample_index()))).unwrap();
-    let mut v1 = Vec::new();
-    write_sections_v1_to(&mut v1, &sections).unwrap();
-    match IvfIndex::read_strict_from(Cursor::new(v1)).unwrap_err() {
-        Error::Store(StoreError::Unchecksummed { version }) => assert_eq!(version, 1),
-        other => panic!("unexpected error {other}"),
-    }
+fn v1_images_are_refused_by_every_reader() {
+    let dir = std::env::temp_dir().join(format!("gkm-ivf-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("index.ivf");
+    std::fs::write(&path, v1_image(&sample_index())).unwrap();
+
+    let refused = |err: Error| {
+        assert!(
+            matches!(
+                err,
+                Error::Store(StoreError::UnsupportedVersion {
+                    found: 1,
+                    max_supported: 2
+                })
+            ),
+            "unexpected error {err}"
+        );
+    };
+    refused(IvfIndex::read_from(Cursor::new(std::fs::read(&path).unwrap())).unwrap_err());
+    refused(IvfIndex::load(&path).unwrap_err());
+    refused(MutableStore::open(&path).unwrap_err());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A torn save is detected on load, and a subsequent (re-)save restores a
@@ -331,9 +324,9 @@ fn torn_file_is_detected_and_resave_recovers() {
     let err = IvfIndex::load(path_str).unwrap_err();
     assert!(err.is_corruption(), "torn file: unexpected class {err}");
 
-    // Recovery: write a fresh generation (atomically) and load strictly.
+    // Recovery: write a fresh generation (atomically) and load it.
     index.save(path_str).unwrap();
-    let back = IvfIndex::load_strict(path_str).unwrap();
+    let back = IvfIndex::load(path_str).unwrap();
     let params = IvfSearchParams::default().nprobe(3);
     assert_eq!(
         back.batch_search(&queries(), 4, params),

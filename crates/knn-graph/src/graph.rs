@@ -5,10 +5,8 @@
 //! fixed capacity `κ` per sample, ascending by distance, so `G[i][j]` is the
 //! `j`-th closest known neighbour of sample `i` (Alg. 2 line 8).
 
-use serde::{Deserialize, Serialize};
-
 /// One (neighbour id, squared distance) entry of a KNN list.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Neighbor {
     /// Row index of the neighbouring sample.
     pub id: u32,
@@ -25,7 +23,7 @@ impl Neighbor {
 
 /// A bounded list of at most `capacity` neighbours kept sorted by ascending
 /// distance (ties broken by id for determinism).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct NeighborList {
     entries: Vec<Neighbor>,
     capacity: usize,
@@ -119,7 +117,7 @@ impl NeighborList {
 }
 
 /// The `G_{n×κ}` approximate KNN graph of the paper.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KnnGraph {
     lists: Vec<NeighborList>,
     k: usize,
@@ -135,9 +133,9 @@ impl KnnGraph {
     }
 
     /// Builds a graph from pre-constructed neighbour lists (used by the
-    /// deserializer, which must not allocate `n × k` up front for data it has
-    /// not validated yet).
-    pub fn from_lists(lists: Vec<NeighborList>, k: usize) -> Self {
+    /// reader, which must not allocate `n × k` up front for data it has not
+    /// validated yet).
+    pub(crate) fn from_lists(lists: Vec<NeighborList>, k: usize) -> Self {
         Self { lists, k }
     }
 

@@ -19,7 +19,9 @@
 //! * [`nsw`] — navigable-small-world incremental construction (Malkov &
 //!   Yashunin, ref. \[34\]), the other third-party construction method the
 //!   paper compares against;
-//! * [`recall`] — graph-vs-ground-truth recall measures.
+//! * [`recall`] — graph-vs-ground-truth recall measures;
+//! * [`io`] — graph files as checksummed GKSC v2 containers of flat id and
+//!   distance arrays, saved atomically.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1251,14 +1251,16 @@ fn run_mutations(batch: Vec<PendingMutation>, backend: &AnyBackend, metrics: &Ba
     }
 }
 
-/// Maps a store error to a wire status.  Validation failures (wrong dim,
-/// bad parameters) are the client's fault; anything touching the journal or
-/// checkpoint is `INTERNAL` — and deliberately ambiguous, because an I/O
-/// error mid-journal may or may not survive a restart.
+/// Maps a store error to a wire status.  Validation failures (wrong dim, a
+/// NaN or infinite component, bad parameters) are the client's fault;
+/// anything touching the journal or checkpoint is `INTERNAL` — and
+/// deliberately ambiguous, because an I/O error mid-journal may or may not
+/// survive a restart.
 fn mutation_error_status(e: &vecstore::Error) -> Status {
     match e {
         vecstore::Error::DimensionMismatch { .. }
         | vecstore::Error::EmptyInput(_)
+        | vecstore::Error::NonFinite { .. }
         | vecstore::Error::InvalidParameter(_) => Status::BadRequest,
         _ => Status::Internal,
     }

@@ -10,7 +10,8 @@
 //!   its delete ack;
 //! * `COMPACT` hot-swaps the serving generation under concurrent search
 //!   load without a single failed or torn response;
-//! * an immutable server answers mutation frames `BAD_REQUEST`.
+//! * an immutable server answers mutation frames `BAD_REQUEST`, and so does
+//!   a mutable one for an insert holding a NaN or infinity.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -221,4 +222,40 @@ fn immutable_server_answers_mutations_bad_request() {
     // The connection survives and searches still work.
     assert_eq!(search_one(&mut client, 2, &[1.0; DIM], 3).len(), 3);
     server.shutdown();
+}
+
+#[test]
+fn non_finite_insert_frame_is_answered_bad_request() {
+    let dir = scratch_dir("nonfinite");
+    let index_path = dir.join("live.ivf");
+    let store = MutableStore::create(&index_path, fixture_index(64, 4, 7)).unwrap();
+    let backend = Arc::new(MutableIvfBackend::new(store, Some(1)));
+    let mut server = Server::start_mutable(
+        Arc::clone(&backend) as Arc<dyn serve::MutableBackend>,
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr(), Duration::from_secs(5)).unwrap();
+
+    let mut poisoned = vec![1.0; DIM];
+    poisoned[2] = f32::NAN;
+    match client.insert(1, DIM as u32, poisoned).unwrap_err() {
+        ClientError::Rejected { status, message } => {
+            assert_eq!(status, Status::BadRequest);
+            assert!(message.contains("non-finite"), "got: {message}");
+        }
+        other => panic!("expected a typed rejection, got {other}"),
+    }
+    // Nothing was journalled or applied: the next insert gets the id the
+    // rejected one would have, and the connection still serves.
+    let ack = client.insert(2, DIM as u32, vec![1.0; DIM]).unwrap();
+    assert_eq!((ack.ids, ack.live), (vec![64], 65));
+
+    server.shutdown();
+    drop(client);
+    drop(server);
+    drop(Arc::into_inner(backend).unwrap().into_store());
+    let (_, report) = MutableStore::open(&index_path).unwrap();
+    assert_eq!(report.replayed, 1, "only the clean insert is journalled");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -79,79 +79,6 @@ pub fn norm_sq(a: &[f32]) -> f32 {
     (kernels::active().dot)(a, a)
 }
 
-/// Cosine distance `1 - cos(a, b)`; returns `1.0` when either vector is zero.
-///
-/// Computed in a **single fused pass** producing `a·b`, `‖a‖²` and `‖b‖²`
-/// together, instead of the three separate passes the naive formulation
-/// needs.  For normalised-embedding workloads where the norms are already
-/// cached, use [`cosine_distance_cached`].
-///
-/// Not used by the clustering algorithms themselves (they are ℓ²-based) but
-/// provided for the GloVe-like workloads where cosine recall is a common
-/// sanity metric.
-#[inline]
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    let f = (kernels::active().fused_dot_norms)(a, b);
-    let na = f.norm_a_sq.sqrt();
-    let nb = f.norm_b_sq.sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 1.0;
-    }
-    1.0 - f.dot / (na * nb)
-}
-
-/// Norm-cached cosine distance: one dot product given pre-computed squared
-/// norms (`crate::Norms` caches exactly these).  Returns `1.0` when either
-/// cached norm is zero.
-#[inline]
-pub fn cosine_distance_cached(a: &[f32], b: &[f32], norm_a_sq: f32, norm_b_sq: f32) -> f32 {
-    if norm_a_sq == 0.0 || norm_b_sq == 0.0 {
-        return 1.0;
-    }
-    1.0 - dot(a, b) / (norm_a_sq.sqrt() * norm_b_sq.sqrt())
-}
-
-/// Squared Euclidean distance computed through the inner-product expansion
-/// `‖x-c‖² = ‖x‖² - 2·x·c + ‖c‖²`, given pre-computed squared norms.
-///
-/// The assignment step of Lloyd/Elkan/Hamerly uses this form because the
-/// sample norms are constant across iterations.  Negative results caused by
-/// floating-point cancellation are clamped to zero.
-#[inline]
-pub fn l2_sq_via_dot(x: &[f32], c: &[f32], x_norm_sq: f32, c_norm_sq: f32) -> f32 {
-    let d = x_norm_sq - 2.0 * dot(x, c) + c_norm_sq;
-    if d < 0.0 {
-        0.0
-    } else {
-        d
-    }
-}
-
-/// Metric selector used by the public clustering APIs.
-///
-/// The paper evaluates exclusively in ℓ² space; [`Metric::SquaredEuclidean`]
-/// is therefore the default everywhere.  [`Metric::Cosine`] is provided for
-/// completeness when the library is used on normalised embeddings.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Metric {
-    /// Squared Euclidean distance (the paper's setting).
-    #[default]
-    SquaredEuclidean,
-    /// Cosine distance `1 - cos`.
-    Cosine,
-}
-
-impl Metric {
-    /// Evaluates the metric on a pair of vectors.
-    #[inline]
-    pub fn distance(&self, a: &[f32], b: &[f32]) -> f32 {
-        match self {
-            Metric::SquaredEuclidean => l2_sq(a, b),
-            Metric::Cosine => cosine_distance(a, b),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,52 +131,5 @@ mod tests {
                 "len={len}: {fast} vs {slow}"
             );
         }
-    }
-
-    #[test]
-    fn cosine_distance_basics() {
-        let a = [1.0, 0.0];
-        let b = [0.0, 1.0];
-        let c = [2.0, 0.0];
-        assert!((cosine_distance(&a, &b) - 1.0).abs() < 1e-6);
-        assert!(cosine_distance(&a, &c).abs() < 1e-6);
-        // zero vector convention
-        assert_eq!(cosine_distance(&a, &[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn cached_cosine_matches_direct() {
-        let a: Vec<f32> = (0..37).map(|i| (i as f32 * 0.3).sin()).collect();
-        let b: Vec<f32> = (0..37).map(|i| (i as f32 * 0.7).cos()).collect();
-        let direct = cosine_distance(&a, &b);
-        let cached = cosine_distance_cached(&a, &b, norm_sq(&a), norm_sq(&b));
-        assert!((direct - cached).abs() < 1e-5, "{direct} vs {cached}");
-        assert_eq!(cosine_distance_cached(&a, &b, 0.0, norm_sq(&b)), 1.0);
-    }
-
-    #[test]
-    fn l2_sq_via_dot_matches_direct() {
-        let x = [1.0, -2.0, 3.5, 0.25];
-        let c = [0.5, 0.5, -1.0, 2.0];
-        let d1 = l2_sq(&x, &c);
-        let d2 = l2_sq_via_dot(&x, &c, norm_sq(&x), norm_sq(&c));
-        assert!((d1 - d2).abs() < 1e-4);
-    }
-
-    #[test]
-    fn l2_sq_via_dot_clamps_negative() {
-        // identical vectors with a slightly inflated norm to force cancellation
-        let x = [1.0f32; 8];
-        let d = l2_sq_via_dot(&x, &x, norm_sq(&x) - 1e-3, norm_sq(&x));
-        assert!(d >= 0.0);
-    }
-
-    #[test]
-    fn metric_dispatch() {
-        let a = [1.0, 0.0];
-        let b = [0.0, 1.0];
-        assert_eq!(Metric::SquaredEuclidean.distance(&a, &b), 2.0);
-        assert!((Metric::Cosine.distance(&a, &b) - 1.0).abs() < 1e-6);
-        assert_eq!(Metric::default(), Metric::SquaredEuclidean);
     }
 }

@@ -44,11 +44,12 @@ pub enum StoreError {
         /// The four bytes found where the magic belongs.
         found: [u8; 4],
     },
-    /// The container version is newer than this reader understands.
+    /// The container version is not the one this reader understands: a newer
+    /// version, or a retired one such as the unchecksummed v1.
     UnsupportedVersion {
         /// Version stored in the file.
         found: u32,
-        /// Highest version this reader can parse.
+        /// The version this reader parses.
         max_supported: u32,
     },
     /// A stored CRC-32C disagrees with the checksum recomputed over the
@@ -74,12 +75,6 @@ pub enum StoreError {
         declared: u64,
         /// The largest size the format accepts.
         limit: u64,
-    },
-    /// The file is a valid pre-checksum (v1) container but the reader was
-    /// asked for strict (checksummed-only) loading.
-    Unchecksummed {
-        /// The legacy version found.
-        version: u32,
     },
     /// The sections parse individually but a cross-section invariant of the
     /// composite format does not hold (mismatched shapes, non-monotone or
@@ -112,7 +107,7 @@ impl fmt::Display for StoreError {
                 max_supported,
             } => write!(
                 f,
-                "unsupported container version {found} (this reader understands up to {max_supported})"
+                "unsupported container version {found} (this reader understands only version {max_supported})"
             ),
             StoreError::ChecksumMismatch {
                 section,
@@ -131,10 +126,6 @@ impl fmt::Display for StoreError {
             } => write!(
                 f,
                 "oversized field in {section}: {declared} declared at byte {offset} exceeds the format limit {limit}"
-            ),
-            StoreError::Unchecksummed { version } => write!(
-                f,
-                "container is an unchecksummed v{version} file and strict loading was requested"
             ),
             StoreError::Invariant { section, detail } => {
                 write!(f, "cross-section invariant violated in {section}: {detail}")
@@ -168,6 +159,16 @@ pub enum Error {
     },
     /// A parameter failed validation (message explains which and why).
     InvalidParameter(String),
+    /// An input vector holds a NaN or an infinity, which no distance can
+    /// order; names the first offending component.
+    NonFinite {
+        /// Row of the offending component.
+        row: usize,
+        /// Column of the offending component.
+        column: usize,
+        /// The non-finite value found there.
+        value: f32,
+    },
     /// Underlying I/O failure while reading or writing a vector file.
     Io(std::io::Error),
     /// A vector file was malformed (truncated record, inconsistent header…).
@@ -199,6 +200,9 @@ impl fmt::Display for Error {
                 write!(f, "index {index} out of bounds for length {len}")
             }
             Error::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            Error::NonFinite { row, column, value } => {
+                write!(f, "non-finite value {value} at row {row}, column {column}")
+            }
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::MalformedFile(msg) => write!(f, "malformed vector file: {msg}"),
             Error::Store(e) => write!(f, "corrupt container: {e}"),
@@ -243,6 +247,11 @@ mod tests {
             Error::EmptyInput("rows"),
             Error::IndexOutOfBounds { index: 7, len: 3 },
             Error::InvalidParameter("k must be > 0".into()),
+            Error::NonFinite {
+                row: 2,
+                column: 5,
+                value: f32::NAN,
+            },
             Error::Io(std::io::Error::other("boom")),
             Error::MalformedFile("truncated".into()),
             Error::Store(StoreError::BadMagic { found: *b"NOPE" }),
@@ -279,7 +288,6 @@ mod tests {
                 declared: u64::MAX,
                 limit: 1 << 48,
             },
-            StoreError::Unchecksummed { version: 1 },
             StoreError::Invariant {
                 section: "IVFOFFS".into(),
                 detail: "offsets overlap".into(),
@@ -300,7 +308,11 @@ mod tests {
 
     #[test]
     fn store_error_converts_with_source_and_classification() {
-        let err: Error = StoreError::Unchecksummed { version: 1 }.into();
+        let err: Error = StoreError::UnsupportedVersion {
+            found: 1,
+            max_supported: 2,
+        }
+        .into();
         assert!(matches!(err, Error::Store(_)));
         assert!(std::error::Error::source(&err).is_some());
         assert!(err.is_corruption());

@@ -1,4 +1,4 @@
-//! Readers/writers for the TexMex vector formats and a native binary format.
+//! Readers/writers for the TexMex vector formats and the GKSC container.
 //!
 //! The paper's datasets (SIFT1M, GIST1M, …, Tab. 1) are distributed in the
 //! `fvecs`/`ivecs`/`bvecs` formats: each record is a little-endian `i32`
@@ -8,30 +8,29 @@
 //! synthetic workloads exportable so they can be compared against the
 //! original C++ implementation.
 //!
-//! On top of the flat record formats this module provides a **chunked
-//! container** ([`write_sections_to`] / [`read_sections_from`]): a
-//! magic/version header followed by tagged, length-prefixed sections.
-//! Composite on-disk artefacts — the IVF serving index is the first — store
-//! each constituent (centroid matrix, list offsets, id remap, vector panels)
-//! as its own section, so readers can validate shapes section by section and
-//! future fields extend the format without breaking old readers' framing.
+//! Every file the workspace itself writes — the k-NN graph, the IVF serving
+//! index and its checkpoints — is a **chunked container**
+//! ([`write_sections_to`] / [`read_sections_from`]): a magic/version header
+//! followed by tagged, length-prefixed sections.  A composite artefact stores
+//! each constituent (a matrix, an offset array, an id remap…) as its own
+//! section, so readers validate shapes section by section and new fields
+//! extend the format without breaking old readers' framing.  Section payloads
+//! are little-endian arrays ([`u32s_to_bytes`], [`u64s_to_bytes`],
+//! [`f32s_to_bytes`] and their inverses) or a whole [`VectorSet`]
+//! ([`vector_set_to_bytes`] / [`vector_set_from_bytes`]).
 //!
 //! # Durability (GKSC v2)
 //!
-//! Version 2 of the container makes the framing *corruption-proof*: the
-//! 16-byte header is followed by its CRC-32C, and every section carries a
+//! The container has one version, [`SECTION_VERSION`] = 2, and one reader.
+//! The 16-byte header is followed by its CRC-32C, and every section carries a
 //! trailing CRC-32C over its tag, length field and payload, so every byte of
-//! a v2 file is covered by some checksum.  The reader validates each declared
+//! a file is covered by some checksum.  The reader validates each declared
 //! length against the bytes actually remaining **before** allocating, and all
 //! failures surface as the typed [`StoreError`] taxonomy (section tag + byte
-//! offset) rather than strings or panics.  Version 1 (unchecksummed) files
-//! still load through the lenient readers; [`read_sections_strict_from`]
-//! rejects them with [`StoreError::Unchecksummed`].  [`atomic_write`] is the
-//! companion save protocol: temp file + fsync + rename, so a crash mid-save
-//! leaves the previous artefact loadable.
-//!
-//! [`vector_set_to_bytes`] / [`vector_set_from_bytes`] round-trip a
-//! [`VectorSet`] through the native encoding for use as a section payload.
+//! offset) rather than strings or panics; any other version, the retired
+//! unchecksummed v1 included, is [`StoreError::UnsupportedVersion`].
+//! [`atomic_write`] is the companion save protocol: temp file + fsync +
+//! rename, so a crash mid-save leaves the previous artefact loadable.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -111,16 +110,11 @@ pub fn write_fvecs_to(mut writer: impl Write, data: &VectorSet) -> Result<()> {
     Ok(())
 }
 
-/// Reads an `ivecs` file (used by TexMex for ground-truth neighbour lists).
+/// Reads `ivecs` records (TexMex's ground-truth neighbour lists) from an
+/// arbitrary reader.
 ///
 /// Returns one `Vec<i32>` per record; records may have differing lengths in
 /// principle but ground-truth files are rectangular.
-pub fn read_ivecs(path: impl AsRef<Path>) -> Result<Vec<Vec<i32>>> {
-    let file = File::open(path)?;
-    read_ivecs_from(BufReader::new(file))
-}
-
-/// Reads `ivecs` records from an arbitrary reader.
 pub fn read_ivecs_from(mut reader: impl Read) -> Result<Vec<Vec<i32>>> {
     let mut out = Vec::new();
     loop {
@@ -228,93 +222,27 @@ pub fn write_bvecs_to(mut writer: impl Write, data: &VectorSet) -> Result<()> {
     Ok(())
 }
 
-/// Native compact binary format: `u64 n`, `u64 d`, then `n·d` little-endian
-/// `f32` values.  Roughly 4 bytes/component with an 16-byte header, used by
-/// the harness to cache generated workloads between runs.
-pub fn write_native(path: impl AsRef<Path>, data: &VectorSet) -> Result<()> {
-    let file = File::create(path)?;
-    write_native_to(BufWriter::new(file), data)
-}
-
-/// Writes the native format to an arbitrary writer.
-pub fn write_native_to(mut writer: impl Write, data: &VectorSet) -> Result<()> {
-    writer.write_all(&(data.len() as u64).to_le_bytes())?;
-    writer.write_all(&(data.dim() as u64).to_le_bytes())?;
-    for &v in data.as_flat() {
-        writer.write_all(&v.to_le_bytes())?;
-    }
-    writer.flush()?;
-    Ok(())
-}
-
-/// Reads the native format produced by [`write_native`].
-pub fn read_native(path: impl AsRef<Path>) -> Result<VectorSet> {
-    let file = File::open(path)?;
-    read_native_from(BufReader::new(file))
-}
-
-/// Reads the native format from an arbitrary reader.
-///
-/// The `n·d·4` payload size is computed with checked arithmetic and the
-/// payload is read through `take` into a growable buffer, so a corrupt header
-/// fails with [`Error::MalformedFile`] instead of overflowing or aborting on
-/// a huge up-front allocation.
-pub fn read_native_from(mut reader: impl Read) -> Result<VectorSet> {
-    let mut header = [0u8; 16];
-    reader
-        .read_exact(&mut header)
-        .map_err(|e| Error::MalformedFile(format!("truncated native header: {e}")))?;
-    let n = le_u64(&header[0..8]);
-    let d = le_u64(&header[8..16]);
-    if d == 0 {
-        return Err(Error::MalformedFile("zero dimensionality".into()));
-    }
-    let total = n
-        .checked_mul(d)
-        .and_then(|c| c.checked_mul(4))
-        .filter(|&c| c <= MAX_SECTION_BYTES)
-        .ok_or_else(|| {
-            Error::MalformedFile(format!("native header declares an absurd size {n}×{d}"))
-        })?;
-    let mut payload = Vec::new();
-    let took = reader.by_ref().take(total).read_to_end(&mut payload)? as u64;
-    if took < total {
-        return Err(Error::MalformedFile(format!(
-            "truncated native payload: {took} of {total} bytes"
-        )));
-    }
-    let data = payload
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    VectorSet::from_flat(data, d as usize)
-}
-
 /// Magic bytes opening a chunked (sectioned) container file.
 pub const SECTION_MAGIC: [u8; 4] = *b"GKSC";
 
-/// Current version of the chunked container framing (checksummed).
+/// The one version of the chunked container framing (checksummed).
 pub const SECTION_VERSION: u32 = 2;
-
-/// Legacy unchecksummed container version, still accepted by the lenient
-/// readers.
-pub const SECTION_VERSION_V1: u32 = 1;
 
 /// Sanity bound on the section count a header may declare.  A count above
 /// this is a corrupt field, not a big file.
-pub const MAX_SECTIONS: u64 = 1 << 20;
+const MAX_SECTIONS: u64 = 1 << 20;
 
 /// Sanity bound on a single declared payload length (1 TiB).  A length above
 /// this is a corrupt field, not a big section.
-pub const MAX_SECTION_BYTES: u64 = 1 << 40;
+const MAX_SECTION_BYTES: u64 = 1 << 40;
 
 /// One tagged, length-prefixed chunk of a sectioned container.
 ///
 /// The tag is a fixed 8-byte field (short ASCII names padded with spaces);
 /// the payload is opaque to the framing layer — composite formats such as the
-/// IVF index define their own payload encodings per tag (typically the native
-/// [`VectorSet`] encoding via [`vector_set_to_bytes`], or packed
-/// little-endian integers).
+/// IVF index define their own payload encodings per tag (typically a
+/// [`VectorSet`] via [`vector_set_to_bytes`], or packed little-endian
+/// arrays).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Section {
     /// 8-byte section tag (space-padded ASCII by convention).
@@ -346,7 +274,7 @@ impl Section {
 
 /// Human-readable name of a section tag for error reporting: the
 /// space-trimmed lossy-UTF-8 form, or `(untagged)` when blank.
-pub fn tag_name(tag: &[u8; 8]) -> String {
+fn tag_name(tag: &[u8; 8]) -> String {
     let name = String::from_utf8_lossy(tag).trim_end().to_string();
     if name.is_empty() {
         "(untagged)".to_string()
@@ -355,7 +283,7 @@ pub fn tag_name(tag: &[u8; 8]) -> String {
     }
 }
 
-/// Writes a checksummed (v2) chunked container: [`SECTION_MAGIC`],
+/// Writes a checksummed chunked container: [`SECTION_MAGIC`],
 /// [`SECTION_VERSION`], the section count, the CRC-32C of those 16 header
 /// bytes, then each section as `tag (8 bytes) · payload length (u64) ·
 /// payload · CRC-32C of the preceding tag‖length‖payload`.  Every byte of the
@@ -382,51 +310,23 @@ pub fn write_sections_to(mut writer: impl Write, sections: &[Section]) -> Result
     Ok(())
 }
 
-/// Writes the legacy unchecksummed (v1) framing.  Kept for compatibility
-/// tests and for benchmarking the checksummed reader against the v1 baseline;
-/// new artefacts should use [`write_sections_to`].
-pub fn write_sections_v1_to(mut writer: impl Write, sections: &[Section]) -> Result<()> {
-    writer.write_all(&SECTION_MAGIC)?;
-    writer.write_all(&SECTION_VERSION_V1.to_le_bytes())?;
-    writer.write_all(&(sections.len() as u64).to_le_bytes())?;
-    for section in sections {
-        writer.write_all(&section.tag)?;
-        writer.write_all(&(section.payload.len() as u64).to_le_bytes())?;
-        writer.write_all(&section.payload)?;
-    }
-    writer.flush()?;
-    Ok(())
-}
-
-/// Reads a chunked container (v1 or v2), returning the sections in file
-/// order (duplicate tags are preserved; consumers decide their semantics).
+/// Reads a chunked container, returning the sections in file order
+/// (duplicate tags are preserved; consumers decide their semantics).
 ///
-/// v2 files have every checksum verified; v1 files load without checksums
-/// (use [`read_sections_strict_from`] to reject them).  Declared lengths are
-/// validated against the bytes actually present *before* any allocation, so
-/// a corrupt length field yields [`StoreError::Truncated`] or
-/// [`StoreError::Oversized`] rather than an OOM abort.
+/// Every checksum is verified.  Declared lengths are validated against the
+/// bytes actually present *before* any allocation, so a corrupt length field
+/// yields [`StoreError::Truncated`] or [`StoreError::Oversized`] rather than
+/// an OOM abort.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Store`] with the precise [`StoreError`] corruption class
 /// (section tag + byte offset), and [`Error::Io`] for underlying I/O
 /// failures.
-pub fn read_sections_from(reader: impl Read) -> Result<Vec<Section>> {
-    read_sections_impl(reader, false)
-}
-
-/// Like [`read_sections_from`], but rejects unchecksummed (v1) files with
-/// [`StoreError::Unchecksummed`].  Use for `--strict` verification paths
-/// where silent bit-rot must be ruled out.
-pub fn read_sections_strict_from(reader: impl Read) -> Result<Vec<Section>> {
-    read_sections_impl(reader, true)
-}
-
-fn read_sections_impl(mut reader: impl Read, strict: bool) -> Result<Vec<Section>> {
+pub fn read_sections_from(mut reader: impl Read) -> Result<Vec<Section>> {
     let mut buf = Vec::new();
     reader.read_to_end(&mut buf)?;
-    parse_sections(&buf, strict)
+    parse_sections(&buf)
 }
 
 fn le_u32(bytes: &[u8]) -> u32 {
@@ -441,7 +341,7 @@ fn le_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(a)
 }
 
-fn parse_sections(buf: &[u8], strict: bool) -> Result<Vec<Section>> {
+fn parse_sections(buf: &[u8]) -> Result<Vec<Section>> {
     if buf.len() >= 4 && buf[0..4] != SECTION_MAGIC {
         return Err(StoreError::BadMagic {
             found: [buf[0], buf[1], buf[2], buf[3]],
@@ -459,44 +359,33 @@ fn parse_sections(buf: &[u8], strict: bool) -> Result<Vec<Section>> {
     }
     let version = le_u32(&buf[4..8]);
     let count = le_u64(&buf[8..16]);
-    let (mut pos, checksummed) = match version {
-        SECTION_VERSION_V1 => {
-            if strict {
-                return Err(StoreError::Unchecksummed { version }.into());
-            }
-            (16usize, false)
+    if version != SECTION_VERSION {
+        return Err(StoreError::UnsupportedVersion {
+            found: version,
+            max_supported: SECTION_VERSION,
         }
-        SECTION_VERSION => {
-            if buf.len() < 20 {
-                return Err(StoreError::Truncated {
-                    section: "header".into(),
-                    offset: 16,
-                    needed: 4,
-                    available: (buf.len() - 16) as u64,
-                }
-                .into());
-            }
-            let stored = le_u32(&buf[16..20]);
-            let computed = crc32c(&buf[0..16]);
-            if stored != computed {
-                return Err(StoreError::ChecksumMismatch {
-                    section: "header".into(),
-                    offset: 16,
-                    stored,
-                    computed,
-                }
-                .into());
-            }
-            (20usize, true)
+        .into());
+    }
+    if buf.len() < 20 {
+        return Err(StoreError::Truncated {
+            section: "header".into(),
+            offset: 16,
+            needed: 4,
+            available: (buf.len() - 16) as u64,
         }
-        other => {
-            return Err(StoreError::UnsupportedVersion {
-                found: other,
-                max_supported: SECTION_VERSION,
-            }
-            .into());
+        .into());
+    }
+    let stored = le_u32(&buf[16..20]);
+    let computed = crc32c(&buf[0..16]);
+    if stored != computed {
+        return Err(StoreError::ChecksumMismatch {
+            section: "header".into(),
+            offset: 16,
+            stored,
+            computed,
         }
-    };
+        .into());
+    }
     if count > MAX_SECTIONS {
         return Err(StoreError::Oversized {
             section: "header".into(),
@@ -506,15 +395,16 @@ fn parse_sections(buf: &[u8], strict: bool) -> Result<Vec<Section>> {
         }
         .into());
     }
-    // Each section needs at least its fixed framing; checking the count
-    // against the remaining bytes up front bounds the `with_capacity` below.
-    let min_per_section = if checksummed { 20u64 } else { 16u64 };
+    // Each section needs at least its fixed framing (tag, length, CRC);
+    // checking the count against the remaining bytes up front bounds the
+    // `with_capacity` below.
+    let mut pos = 20usize;
     let remaining = (buf.len() - pos) as u64;
-    if count.saturating_mul(min_per_section) > remaining {
+    if count.saturating_mul(20) > remaining {
         return Err(StoreError::Truncated {
             section: "header".into(),
             offset: pos as u64,
-            needed: count.saturating_mul(min_per_section),
+            needed: count.saturating_mul(20),
             available: remaining,
         }
         .into());
@@ -547,34 +437,32 @@ fn parse_sections(buf: &[u8], strict: bool) -> Result<Vec<Section>> {
         }
         let body_start = pos + 16;
         let after = (buf.len() - body_start) as u64;
-        let needed = len + if checksummed { 4 } else { 0 };
-        if needed > after {
+        if len + 4 > after {
             return Err(StoreError::Truncated {
                 section: name,
                 offset: body_start as u64,
-                needed,
+                needed: len + 4,
                 available: after,
             }
             .into());
         }
         let payload_end = body_start + len as usize;
-        let payload = buf[body_start..payload_end].to_vec();
-        pos = payload_end;
-        if checksummed {
-            let stored = le_u32(&buf[pos..pos + 4]);
-            let computed = crc32c(&buf[sec_start..payload_end]);
-            if stored != computed {
-                return Err(StoreError::ChecksumMismatch {
-                    section: name,
-                    offset: pos as u64,
-                    stored,
-                    computed,
-                }
-                .into());
+        let stored = le_u32(&buf[payload_end..payload_end + 4]);
+        let computed = crc32c(&buf[sec_start..payload_end]);
+        if stored != computed {
+            return Err(StoreError::ChecksumMismatch {
+                section: name,
+                offset: payload_end as u64,
+                stored,
+                computed,
             }
-            pos += 4;
+            .into());
         }
-        sections.push(Section { tag, payload });
+        sections.push(Section {
+            tag,
+            payload: buf[body_start..payload_end].to_vec(),
+        });
+        pos = payload_end + 4;
     }
     if pos != buf.len() {
         return Err(StoreError::Invariant {
@@ -631,33 +519,128 @@ pub fn atomic_write(
     Ok(())
 }
 
-/// Encodes a [`VectorSet`] with the native format into an in-memory buffer,
-/// the canonical payload encoding for matrix-valued sections.
+/// Encodes little-endian `u32` values as a section payload.
+pub fn u32s_to_bytes(values: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(values.len() * 4);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// Encodes `usize` values as a section payload of little-endian `u64`s.
+pub fn u64s_to_bytes(values: &[usize]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(values.len() * 8);
+    for &v in values {
+        out.extend_from_slice(&(v as u64).to_le_bytes());
+    }
+    out
+}
+
+/// Encodes little-endian `f32` values as a section payload.
+pub fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(values.len() * 4);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// Decodes a section payload of little-endian `u32`s.
+///
+/// # Errors
+///
+/// Returns [`StoreError::Invariant`] naming `section` when the payload is
+/// not a whole number of values.
+pub fn u32s_from_bytes(bytes: &[u8], section: &str) -> Result<Vec<u32>> {
+    words_from_bytes(bytes, section, "u32", u32::from_le_bytes)
+}
+
+/// Decodes a section payload of little-endian `u64`s into `usize`s.
+///
+/// # Errors
+///
+/// As [`u32s_from_bytes`].
+pub fn u64s_from_bytes(bytes: &[u8], section: &str) -> Result<Vec<usize>> {
+    words_from_bytes(bytes, section, "u64", |a| u64::from_le_bytes(a) as usize)
+}
+
+/// Decodes a section payload of little-endian `f32`s.
+///
+/// # Errors
+///
+/// As [`u32s_from_bytes`].
+pub fn f32s_from_bytes(bytes: &[u8], section: &str) -> Result<Vec<f32>> {
+    words_from_bytes(bytes, section, "f32", f32::from_le_bytes)
+}
+
+fn words_from_bytes<const W: usize, T>(
+    bytes: &[u8],
+    section: &str,
+    word: &str,
+    decode: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>> {
+    if bytes.len() % W != 0 {
+        return Err(StoreError::Invariant {
+            section: section.to_string(),
+            detail: format!(
+                "payload of {} bytes is not whole {word} values",
+                bytes.len()
+            ),
+        }
+        .into());
+    }
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|c| {
+            let mut a = [0u8; W];
+            a.copy_from_slice(c);
+            decode(a)
+        })
+        .collect())
+}
+
+/// Encodes a [`VectorSet`] as a section payload: `u64 n`, `u64 d`, then the
+/// `n·d` little-endian `f32` values row by row.
 pub fn vector_set_to_bytes(data: &VectorSet) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + data.as_flat().len() * 4);
     buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
     buf.extend_from_slice(&(data.dim() as u64).to_le_bytes());
-    for &v in data.as_flat() {
+    for v in data.as_flat() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
     buf
 }
 
-/// Decodes a [`VectorSet`] from a native-format section payload.
+/// Decodes a [`VectorSet`] from a [`vector_set_to_bytes`] payload.
+///
+/// The `n·d·4` payload size is computed with checked arithmetic and compared
+/// with the bytes present before anything is allocated, so a corrupt shape
+/// header fails instead of overflowing or allocating.
 ///
 /// # Errors
 ///
-/// Returns [`Error::MalformedFile`] on truncated or trailing bytes.
+/// Returns [`Error::MalformedFile`] on a zero dimensionality or a shape that
+/// disagrees with the payload length (truncated or trailing bytes).
 pub fn vector_set_from_bytes(bytes: &[u8]) -> Result<VectorSet> {
-    let mut cursor = std::io::Cursor::new(bytes);
-    let set = read_native_from(&mut cursor)?;
-    if cursor.position() != bytes.len() as u64 {
+    if bytes.len() < 16 {
         return Err(Error::MalformedFile(format!(
-            "{} trailing bytes after the vector-set payload",
-            bytes.len() as u64 - cursor.position()
+            "vector-set payload of {} bytes lacks its 16-byte shape header",
+            bytes.len()
         )));
     }
-    Ok(set)
+    let (n, d) = (le_u64(&bytes[0..8]), le_u64(&bytes[8..16]));
+    if d == 0 {
+        return Err(Error::MalformedFile("zero dimensionality".into()));
+    }
+    let body = &bytes[16..];
+    if n.checked_mul(d).and_then(|c| c.checked_mul(4)) != Some(body.len() as u64) {
+        return Err(Error::MalformedFile(format!(
+            "vector-set shape {n}×{d} does not match its {} payload bytes",
+            body.len()
+        )));
+    }
+    VectorSet::from_flat(f32s_from_bytes(body, "vector set")?, d as usize)
 }
 
 enum ReadStatus {
@@ -771,20 +754,20 @@ mod tests {
     #[test]
     fn native_round_trip() {
         let vs = sample();
-        let mut buf = Vec::new();
-        write_native_to(&mut buf, &vs).unwrap();
+        let buf = vector_set_to_bytes(&vs);
         assert_eq!(buf.len(), 16 + 3 * 4 * 4);
-        let back = read_native_from(Cursor::new(buf)).unwrap();
-        assert_eq!(back, vs);
+        assert_eq!(vector_set_from_bytes(&buf).unwrap(), vs);
     }
 
     #[test]
     fn native_rejects_truncation() {
-        let vs = sample();
-        let mut buf = Vec::new();
-        write_native_to(&mut buf, &vs).unwrap();
+        let mut buf = vector_set_to_bytes(&sample());
         buf.truncate(buf.len() - 1);
-        assert!(read_native_from(Cursor::new(buf)).is_err());
+        assert!(matches!(
+            vector_set_from_bytes(&buf).unwrap_err(),
+            Error::MalformedFile(_)
+        ));
+        assert!(vector_set_from_bytes(&buf[..15]).is_err());
     }
 
     #[test]
@@ -792,14 +775,41 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend(u64::MAX.to_le_bytes()); // n
         buf.extend(8u64.to_le_bytes()); // d → n·d·4 overflows
-        let err = read_native_from(Cursor::new(buf)).unwrap_err();
+        let err = vector_set_from_bytes(&buf).unwrap_err();
         assert!(matches!(err, Error::MalformedFile(_)));
 
         let mut buf = Vec::new();
-        buf.extend((MAX_SECTION_BYTES / 4).to_le_bytes()); // n·d·4 > limit
+        buf.extend((MAX_SECTION_BYTES / 4).to_le_bytes()); // n·d·4 ≫ payload
         buf.extend(2u64.to_le_bytes());
-        let err = read_native_from(Cursor::new(buf)).unwrap_err();
+        let err = vector_set_from_bytes(&buf).unwrap_err();
         assert!(matches!(err, Error::MalformedFile(_)));
+
+        let mut buf = vector_set_to_bytes(&sample());
+        buf[8..16].copy_from_slice(&0u64.to_le_bytes()); // d = 0
+        assert!(matches!(
+            vector_set_from_bytes(&buf).unwrap_err(),
+            Error::MalformedFile(_)
+        ));
+    }
+
+    #[test]
+    fn word_arrays_round_trip_and_reject_partial_values() {
+        let u32s = [0u32, 7, u32::MAX];
+        assert_eq!(u32s_from_bytes(&u32s_to_bytes(&u32s), "A").unwrap(), u32s);
+        let u64s = [0usize, 1 << 40, 3];
+        assert_eq!(u64s_from_bytes(&u64s_to_bytes(&u64s), "B").unwrap(), u64s);
+        let f32s = [-0.0f32, 1.5, f32::MAX];
+        let back = f32s_from_bytes(&f32s_to_bytes(&f32s), "C").unwrap();
+        assert!(back
+            .iter()
+            .zip(&f32s)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(matches!(
+            u64s_from_bytes(&[0; 12], "OFFS").unwrap_err(),
+            Error::Store(StoreError::Invariant { section, .. }) if section == "OFFS"
+        ));
+        assert!(u32s_from_bytes(&[0; 5], "IDS").is_err());
+        assert!(f32s_from_bytes(&[0; 3], "DIST").is_err());
     }
 
     #[test]
@@ -833,11 +843,6 @@ mod tests {
         assert!(back[0].has_tag("CENTROID"));
         assert!(back[1].has_tag("EMPTY") && back[2].has_tag("EMPTY"));
         assert_eq!(vector_set_from_bytes(&back[0].payload).unwrap(), sample());
-        // v2 files also pass strict loading.
-        assert_eq!(
-            read_sections_strict_from(Cursor::new(buf)).unwrap(),
-            sections
-        );
     }
 
     #[test]
@@ -848,18 +853,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_sections_load_leniently_but_fail_strict() {
-        let sections = vec![Section::new("LEGACY", vec![1, 2, 3, 4, 5])];
-        let mut buf = Vec::new();
-        write_sections_v1_to(&mut buf, &sections).unwrap();
-        assert_eq!(
-            read_sections_from(Cursor::new(buf.clone())).unwrap(),
-            sections
-        );
-        let err = read_sections_strict_from(Cursor::new(buf)).unwrap_err();
+    fn v1_sections_are_refused_as_an_unsupported_version() {
+        // The retired unchecksummed framing: magic, version 1, count, then
+        // `tag · length · payload` with no CRCs.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&SECTION_MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&1u64.to_le_bytes());
+        v1.extend_from_slice(&Section::new("LEGACY", Vec::new()).tag);
+        v1.extend_from_slice(&5u64.to_le_bytes());
+        v1.extend_from_slice(&[1, 2, 3, 4, 5]);
         assert!(matches!(
-            err,
-            Error::Store(StoreError::Unchecksummed { version: 1 })
+            read_sections_from(Cursor::new(v1)).unwrap_err(),
+            Error::Store(StoreError::UnsupportedVersion {
+                found: 1,
+                max_supported: SECTION_VERSION
+            })
         ));
     }
 
@@ -935,10 +944,11 @@ mod tests {
     fn sections_reject_plausible_but_too_large_length_as_truncated() {
         let sections = vec![Section::new("DATA", vec![7; 16])];
         let mut buf = Vec::new();
-        write_sections_v1_to(&mut buf, &sections).unwrap();
+        write_sections_to(&mut buf, &sections).unwrap();
         // A length within the sanity bound but beyond the file must be
-        // reported as truncation, before any allocation of that size.
-        buf[24..32].copy_from_slice(&(1u64 << 30).to_le_bytes());
+        // reported as truncation, before any allocation of that size (and
+        // before the section CRC, which the length decides the span of).
+        buf[28..36].copy_from_slice(&(1u64 << 30).to_le_bytes());
         assert!(matches!(
             read_sections_from(Cursor::new(buf)).unwrap_err(),
             Error::Store(StoreError::Truncated { .. })
@@ -1006,9 +1016,6 @@ mod tests {
         let fpath = dir.join("x.fvecs");
         write_fvecs(&fpath, &vs).unwrap();
         assert_eq!(read_fvecs(&fpath).unwrap(), vs);
-        let npath = dir.join("x.gkm");
-        write_native(&npath, &vs).unwrap();
-        assert_eq!(read_native(&npath).unwrap(), vs);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -71,19 +71,6 @@ pub(crate) mod neon;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
-/// Result of the fused dot-product/norms kernel: one pass over a pair of
-/// vectors yielding `a·b`, `‖a‖²` and `‖b‖²` (the three quantities cosine
-/// distance needs).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DotNorms {
-    /// `a · b`
-    pub dot: f32,
-    /// `‖a‖²`
-    pub norm_a_sq: f32,
-    /// `‖b‖²`
-    pub norm_b_sq: f32,
-}
-
 /// Signature of the asymmetric SQ8 one-to-many kernel:
 /// `(adjusted_query, scales, codes, out)` — see
 /// [`Kernels::l2_sq_sq8_one_to_many`] for the full contract.
@@ -107,8 +94,6 @@ pub struct Kernels {
     /// Mixed-precision dot product between an `f64` accumulator vector and an
     /// `f32` sample row (the boost-k-means composite·sample product).
     pub dot_f64_f32: fn(&[f64], &[f32]) -> f64,
-    /// One-pass `a·b`, `‖a‖²`, `‖b‖²`.
-    pub fused_dot_norms: fn(&[f32], &[f32]) -> DotNorms,
     /// Squared Euclidean distances from one query to a contiguous block of
     /// rows.
     pub l2_sq_one_to_many: fn(&[f32], &[f32], &mut [f32]),
@@ -396,8 +381,7 @@ pub fn dot_f64_f32_one_to_many_indexed<I: RowIndex>(
 /// The assignment steps cache `‖x‖²` per sample across all iterations and the
 /// centroid norms once per iteration, so each sample↔centroid evaluation
 /// costs a single dot product.  Cancellation can drive the expansion slightly
-/// negative; results are clamped to zero like
-/// [`crate::distance::l2_sq_via_dot`].
+/// negative; results are clamped to zero.
 ///
 /// # Panics
 ///
@@ -492,40 +476,6 @@ pub fn dot_many_to_many(xs: &[f32], rows: &[f32], d: usize, out: &mut [f32]) {
         return;
     }
     (active().dot_many_to_many)(xs, rows, d, out);
-}
-
-/// Norm-cached many-to-many tile: `out[q * k + c] = max(0, x_norms[q] −
-/// 2 · xs[q]·rows[c] + row_norms[c])` with all norms supplied by the caller.
-///
-/// One GEMM-style dot tile plus an `O(m·k)` rank-1 correction — the cheapest
-/// way to fill a large distance tile when norms are already cached.  Shares
-/// the cancellation caveat of [`l2_sq_one_to_many_cached`]; use
-/// [`assign_block_cached`] when the results feed an argmin.
-///
-/// # Panics
-///
-/// Panics on a tile shape mismatch or when a norm count disagrees.
-pub fn l2_sq_many_to_many_cached(
-    xs: &[f32],
-    x_norms: &[f32],
-    rows: &[f32],
-    row_norms: &[f32],
-    d: usize,
-    out: &mut [f32],
-) {
-    let Some((m, k)) = tile_shape(xs, rows, d, out.len()) else {
-        out.fill(0.0);
-        return;
-    };
-    assert_eq!(x_norms.len(), m, "query norm cache length mismatch");
-    assert_eq!(row_norms.len(), k, "candidate norm cache length mismatch");
-    (active().dot_many_to_many)(xs, rows, d, out);
-    for (q, tile_row) in out.chunks_exact_mut(k).enumerate() {
-        let xn = x_norms[q];
-        for (o, &cn) in tile_row.iter_mut().zip(row_norms) {
-            *o = (xn - 2.0 * *o + cn).max(0.0);
-        }
-    }
 }
 
 /// Queries per assignment panel: small enough that the panel of distances
@@ -1079,27 +1029,6 @@ mod tests {
                     "dot ({q},{c})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn many_to_many_cached_matches_direct_tile() {
-        let d = 24;
-        let (m, k) = (3, 4);
-        let xs: Vec<f32> = (0..m * d).map(|i| (i as f32 * 0.31).sin()).collect();
-        let rows: Vec<f32> = (0..k * d).map(|i| (i as f32 * 0.17).cos()).collect();
-        let x_norms: Vec<f32> = (0..m)
-            .map(|q| xs[q * d..(q + 1) * d].iter().map(|v| v * v).sum())
-            .collect();
-        let row_norms: Vec<f32> = (0..k)
-            .map(|c| rows[c * d..(c + 1) * d].iter().map(|v| v * v).sum())
-            .collect();
-        let mut cached = vec![0.0f32; m * k];
-        l2_sq_many_to_many_cached(&xs, &x_norms, &rows, &row_norms, d, &mut cached);
-        let mut direct = vec![0.0f32; m * k];
-        l2_sq_many_to_many(&xs, &rows, d, &mut direct);
-        for (c, d_) in cached.iter().zip(&direct) {
-            assert!((c - d_).abs() <= 1e-2 * d_.max(1.0), "{c} vs {d_}");
         }
     }
 

@@ -18,7 +18,7 @@ use core::arch::aarch64::{
     vget_low_u16, vld1_u8, vld1q_f32, vld1q_f64, vmovl_u16, vmovl_u8, vst1q_f64, vsubq_f32,
 };
 
-use super::{DotNorms, Kernels};
+use super::Kernels;
 
 #[target_feature(enable = "neon")]
 unsafe fn l2_sq_body(a: &[f32], b: &[f32]) -> f32 {
@@ -104,40 +104,6 @@ unsafe fn dot_f64_f32_body(a: &[f64], b: &[f32]) -> f64 {
         i += 1;
     }
     total
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn fused_dot_norms_body(a: &[f32], b: &[f32]) -> DotNorms {
-    let n = a.len().min(b.len());
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut dot0 = vdupq_n_f32(0.0);
-    let mut na0 = vdupq_n_f32(0.0);
-    let mut nb0 = vdupq_n_f32(0.0);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let x = vld1q_f32(pa.add(i));
-        let y = vld1q_f32(pb.add(i));
-        dot0 = vfmaq_f32(dot0, x, y);
-        na0 = vfmaq_f32(na0, x, x);
-        nb0 = vfmaq_f32(nb0, y, y);
-        i += 4;
-    }
-    let mut dot = vaddvq_f32(dot0);
-    let mut na = vaddvq_f32(na0);
-    let mut nb = vaddvq_f32(nb0);
-    while i < n {
-        let x = *pa.add(i);
-        let y = *pb.add(i);
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-        i += 1;
-    }
-    DotNorms {
-        dot,
-        norm_a_sq: na,
-        norm_b_sq: nb,
-    }
 }
 
 #[target_feature(enable = "neon")]
@@ -530,10 +496,6 @@ fn dot_f64_f32_entry(a: &[f64], b: &[f32]) -> f64 {
     unsafe { dot_f64_f32_body(a, b) }
 }
 
-fn fused_dot_norms_entry(a: &[f32], b: &[f32]) -> DotNorms {
-    unsafe { fused_dot_norms_body(a, b) }
-}
-
 fn l2_sq_one_to_many_entry(x: &[f32], rows: &[f32], out: &mut [f32]) {
     unsafe { l2_sq_one_to_many_body(x, rows, out) }
 }
@@ -564,7 +526,6 @@ pub static KERNELS: Kernels = Kernels {
     l2_sq: l2_sq_entry,
     dot: dot_entry,
     dot_f64_f32: dot_f64_f32_entry,
-    fused_dot_norms: fused_dot_norms_entry,
     l2_sq_one_to_many: l2_sq_one_to_many_entry,
     l2_sq_sq8_one_to_many: l2_sq_sq8_one_to_many_entry,
     dot_one_to_many: dot_one_to_many_entry,

@@ -6,7 +6,7 @@
 //! auto-vectorise; on targets without a dedicated SIMD level this is already
 //! within a small factor of optimal.
 
-use super::{DotNorms, Kernels};
+use super::Kernels;
 
 /// Squared Euclidean distance, 4-way unrolled.
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
@@ -81,25 +81,6 @@ pub fn dot_f64_f32(a: &[f64], b: &[f32]) -> f64 {
         acc += a[j] * f64::from(b[j]);
     }
     acc
-}
-
-/// One pass producing `a·b`, `‖a‖²` and `‖b‖²`.
-pub fn fused_dot_norms(a: &[f32], b: &[f32]) -> DotNorms {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut dot = 0.0f32;
-    let mut na = 0.0f32;
-    let mut nb = 0.0f32;
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-    }
-    DotNorms {
-        dot,
-        norm_a_sq: na,
-        norm_b_sq: nb,
-    }
 }
 
 /// Batched squared distances from `x` to every row of `rows`.
@@ -212,7 +193,6 @@ pub static KERNELS: Kernels = Kernels {
     l2_sq,
     dot,
     dot_f64_f32,
-    fused_dot_norms,
     l2_sq_one_to_many,
     l2_sq_sq8_one_to_many,
     dot_one_to_many,

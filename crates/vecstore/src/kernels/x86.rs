@@ -22,7 +22,7 @@ use core::arch::x86_64::{
     _mm_loadu_si64, _mm_movehdup_ps, _mm_movehl_ps,
 };
 
-use super::{DotNorms, Kernels};
+use super::Kernels;
 
 /// Horizontal sum of the eight lanes of an AVX register.
 #[target_feature(enable = "avx2,fma")]
@@ -158,56 +158,6 @@ unsafe fn dot_f64_f32_body(a: &[f64], b: &[f32]) -> f64 {
         i += 1;
     }
     total
-}
-
-#[target_feature(enable = "avx2,fma")]
-unsafe fn fused_dot_norms_body(a: &[f32], b: &[f32]) -> DotNorms {
-    let n = a.len().min(b.len());
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut dot0 = _mm256_setzero_ps();
-    let mut na0 = _mm256_setzero_ps();
-    let mut nb0 = _mm256_setzero_ps();
-    let mut dot1 = _mm256_setzero_ps();
-    let mut na1 = _mm256_setzero_ps();
-    let mut nb1 = _mm256_setzero_ps();
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let x0 = _mm256_loadu_ps(pa.add(i));
-        let y0 = _mm256_loadu_ps(pb.add(i));
-        let x1 = _mm256_loadu_ps(pa.add(i + 8));
-        let y1 = _mm256_loadu_ps(pb.add(i + 8));
-        dot0 = _mm256_fmadd_ps(x0, y0, dot0);
-        na0 = _mm256_fmadd_ps(x0, x0, na0);
-        nb0 = _mm256_fmadd_ps(y0, y0, nb0);
-        dot1 = _mm256_fmadd_ps(x1, y1, dot1);
-        na1 = _mm256_fmadd_ps(x1, x1, na1);
-        nb1 = _mm256_fmadd_ps(y1, y1, nb1);
-        i += 16;
-    }
-    while i + 8 <= n {
-        let x = _mm256_loadu_ps(pa.add(i));
-        let y = _mm256_loadu_ps(pb.add(i));
-        dot0 = _mm256_fmadd_ps(x, y, dot0);
-        na0 = _mm256_fmadd_ps(x, x, na0);
-        nb0 = _mm256_fmadd_ps(y, y, nb0);
-        i += 8;
-    }
-    let mut dot = hsum256(_mm256_add_ps(dot0, dot1));
-    let mut na = hsum256(_mm256_add_ps(na0, na1));
-    let mut nb = hsum256(_mm256_add_ps(nb0, nb1));
-    while i < n {
-        let x = *pa.add(i);
-        let y = *pb.add(i);
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-        i += 1;
-    }
-    DotNorms {
-        dot,
-        norm_a_sq: na,
-        norm_b_sq: nb,
-    }
 }
 
 #[target_feature(enable = "avx2,fma")]
@@ -592,10 +542,6 @@ fn dot_f64_f32_entry(a: &[f64], b: &[f32]) -> f64 {
     unsafe { dot_f64_f32_body(a, b) }
 }
 
-fn fused_dot_norms_entry(a: &[f32], b: &[f32]) -> DotNorms {
-    unsafe { fused_dot_norms_body(a, b) }
-}
-
 fn l2_sq_one_to_many_entry(x: &[f32], rows: &[f32], out: &mut [f32]) {
     unsafe { l2_sq_one_to_many_body(x, rows, out) }
 }
@@ -652,7 +598,6 @@ pub static KERNELS: Kernels = Kernels {
     l2_sq: l2_sq_entry,
     dot: dot_entry,
     dot_f64_f32: dot_f64_f32_entry,
-    fused_dot_norms: fused_dot_norms_entry,
     l2_sq_one_to_many: l2_sq_one_to_many_entry,
     l2_sq_sq8_one_to_many: l2_sq_sq8_one_to_many_entry,
     dot_one_to_many: dot_one_to_many_entry,

@@ -6,10 +6,9 @@
 //! * [`VectorSet`] — an owned, row-major `n × d` matrix of `f32` values, the
 //!   canonical in-memory representation of a descriptor collection such as
 //!   SIFT1M or VLAD10M (Tab. 1 of the paper).
-//! * [`distance`] — squared-Euclidean / dot-product / cosine kernels plus the
-//!   [`distance::Metric`] abstraction.  All clustering algorithms in the
-//!   paper operate in the ℓ² space, so squared Euclidean is the default
-//!   metric throughout the workspace.
+//! * [`distance`] — squared-Euclidean and dot-product kernels.  All
+//!   clustering algorithms in the paper operate in the ℓ² space, so squared
+//!   Euclidean is the one metric of the workspace.
 //! * [`kernels`] — the SIMD engine behind [`distance`]: runtime-dispatched
 //!   AVX2+FMA / NEON / scalar implementations and the batched one-to-many
 //!   API used by every hot loop.
@@ -21,9 +20,10 @@
 //!   results merged in block order — bit-identical output at any thread
 //!   count.
 //! * [`io`] — readers and writers for the TexMex `fvecs`/`ivecs`/`bvecs`
-//!   formats used to distribute the paper's datasets, plus a compact native
-//!   binary format and the checksummed GKSC sectioned container with atomic
-//!   saves; corruption surfaces as the typed [`error::StoreError`] taxonomy.
+//!   formats used to distribute the paper's datasets, plus the checksummed
+//!   GKSC sectioned container with atomic saves that every file the
+//!   workspace writes uses; corruption surfaces as the typed
+//!   [`error::StoreError`] taxonomy.
 //! * [`checksum`] — hand-rolled CRC-32C (SSE4.2 / ARMv8-CRC / slicing-by-8)
 //!   behind the same one-time runtime dispatch as [`kernels`].
 //! * [`wal`] — the GKSL write-ahead log: CRC-32C-per-record mutation
@@ -60,7 +60,6 @@ pub mod parallel;
 pub mod sample;
 pub mod wal;
 
-pub use distance::Metric;
 pub use error::{Error, Result, StoreError};
 pub use matrix::VectorSet;
 pub use norms::Norms;

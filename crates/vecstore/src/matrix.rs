@@ -225,6 +225,35 @@ impl VectorSet {
         }
         Some(acc.into_iter().map(|a| (a / n) as f32).collect())
     }
+
+    /// Checks that every component is finite.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NonFinite`] naming the first NaN or infinity in
+    /// row-major order.
+    pub fn check_finite(&self) -> Result<()> {
+        self.rows()
+            .enumerate()
+            .try_for_each(|(i, row)| check_finite_row(i, row))
+    }
+}
+
+/// The row-level twin of [`VectorSet::check_finite`]: checks that every
+/// component of `values`, reported as row `row`, is finite.
+///
+/// # Errors
+///
+/// Returns [`Error::NonFinite`] naming the first NaN or infinity.
+pub fn check_finite_row(row: usize, values: &[f32]) -> Result<()> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(column) => Err(Error::NonFinite {
+            row,
+            column,
+            value: values[column],
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -247,6 +276,22 @@ mod tests {
         assert_eq!(vs.dim(), 3);
         assert_eq!(vs.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(vs.as_flat().len(), 9);
+    }
+
+    #[test]
+    fn check_finite_names_the_first_bad_component() {
+        let mut vs = sample();
+        assert!(vs.check_finite().is_ok());
+        vs.row_mut(2)[1] = f32::INFINITY;
+        vs.row_mut(1)[2] = f32::NAN;
+        assert!(matches!(
+            vs.check_finite().unwrap_err(),
+            Error::NonFinite { row: 1, column: 2, value } if value.is_nan()
+        ));
+        assert!(matches!(
+            check_finite_row(7, &[0.0, f32::NEG_INFINITY]).unwrap_err(),
+            Error::NonFinite { row: 7, column: 1, value } if value == f32::NEG_INFINITY
+        ));
     }
 
     #[test]

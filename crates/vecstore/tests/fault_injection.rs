@@ -9,10 +9,7 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use vecstore::fault::{corrupt, Fault, FaultyReader, FaultyWriter};
-use vecstore::io::{
-    atomic_write, read_sections_from, read_sections_strict_from, write_sections_to,
-    write_sections_v1_to, Section,
-};
+use vecstore::io::{atomic_write, read_sections_from, write_sections_to, Section};
 use vecstore::{Error, StoreError};
 
 /// A representative container: several sections with distinct tags, lengths
@@ -118,23 +115,6 @@ fn torn_writes_are_caught_on_read_back() {
             read_sections_from(Cursor::new(torn)).is_err(),
             "torn file of {keep} bytes must not parse"
         );
-    }
-}
-
-/// Legacy v1 containers load leniently but are refused in strict mode with
-/// the dedicated unchecksummed-version error.
-#[test]
-fn v1_files_load_leniently_and_are_refused_in_strict_mode() {
-    let sections = sample_sections(31);
-    let mut v1 = Vec::new();
-    write_sections_v1_to(&mut v1, &sections).unwrap();
-    assert_eq!(
-        read_sections_from(Cursor::new(v1.clone())).unwrap(),
-        sections
-    );
-    match read_sections_strict_from(Cursor::new(v1)).unwrap_err() {
-        Error::Store(StoreError::Unchecksummed { version }) => assert_eq!(version, 1),
-        other => panic!("unexpected error {other}"),
     }
 }
 

@@ -1,15 +1,15 @@
 //! Round-trip property suite for every `vecstore::io` writer/reader pair:
-//! `fvecs`, `ivecs`, `bvecs`, the native format and the chunked section
-//! container, across the awkward shapes — d = 1, unaligned record counts,
+//! `fvecs`, `ivecs`, `bvecs`, the `VectorSet` section payload and the
+//! chunked section container, across the awkward shapes — d = 1, unaligned record counts,
 //! empty payloads/record lists — that fixed example tests miss.
 
 use std::io::Cursor;
 
 use proptest::prelude::*;
 use vecstore::io::{
-    read_bvecs_from, read_fvecs_from, read_ivecs_from, read_native_from, read_sections_from,
-    vector_set_from_bytes, vector_set_to_bytes, write_bvecs_to, write_fvecs_to, write_ivecs_to,
-    write_native_to, write_sections_to, Section,
+    read_bvecs_from, read_fvecs_from, read_ivecs_from, read_sections_from, vector_set_from_bytes,
+    vector_set_to_bytes, write_bvecs_to, write_fvecs_to, write_ivecs_to, write_sections_to,
+    Section,
 };
 use vecstore::VectorSet;
 
@@ -87,20 +87,20 @@ proptest! {
         prop_assert_eq!(read_bvecs_from(Cursor::new(buf)).unwrap(), vs);
     }
 
-    /// native: round-trips every shape including n = 0 (which the record
-    /// formats cannot express) and unaligned row counts.
+    /// native (the `VectorSet` section payload): round-trips every shape
+    /// including n = 0 (which the record formats cannot express) and
+    /// unaligned row counts; any strict truncation errors.
     #[test]
     fn native_round_trip(n in 0usize..24, d in 1usize..18, seed in 0u64..1000) {
         let vs = arbitrary_set(n, d, seed);
-        let mut buf = Vec::new();
-        write_native_to(&mut buf, &vs).unwrap();
+        let buf = vector_set_to_bytes(&vs);
         prop_assert_eq!(buf.len(), 16 + n * d * 4);
-        let back = read_native_from(Cursor::new(buf.clone())).unwrap();
+        let back = vector_set_from_bytes(&buf).unwrap();
         prop_assert_eq!(&back, &vs);
         prop_assert_eq!(back.dim(), d);
-        // the in-memory section-payload helpers agree with the streamed form
-        prop_assert_eq!(vector_set_to_bytes(&vs), buf.clone());
-        prop_assert_eq!(vector_set_from_bytes(&buf).unwrap(), vs);
+        for cut in 0..buf.len() {
+            prop_assert!(vector_set_from_bytes(&buf[..cut]).is_err());
+        }
     }
 
     /// sections: any list of tagged payloads (duplicate tags, empty payloads,

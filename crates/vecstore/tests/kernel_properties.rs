@@ -92,32 +92,6 @@ fn dot_f64_f32_matches_reference_for_all_remainder_lanes() {
 }
 
 #[test]
-fn fused_dot_norms_matches_three_reference_passes() {
-    for_each_kernel_set(|set| {
-        for len in 0..=257usize {
-            let a = test_vector(len, 4.0);
-            let b = test_vector(len, 8.3);
-            let f = (set.fused_dot_norms)(&a, &b);
-            assert!(
-                close(f.dot, dot_reference(&a, &b)),
-                "{} len={len} dot",
-                set.name
-            );
-            assert!(
-                close(f.norm_a_sq, dot_reference(&a, &a)),
-                "{} len={len} ‖a‖²",
-                set.name
-            );
-            assert!(
-                close(f.norm_b_sq, dot_reference(&b, &b)),
-                "{} len={len} ‖b‖²",
-                set.name
-            );
-        }
-    });
-}
-
-#[test]
 fn unaligned_subslices_agree_with_reference() {
     // Slicing at odd offsets guarantees the loads are not 32-byte aligned.
     let backing_a = test_vector(300, 0.5);

@@ -57,9 +57,17 @@ fn corrupted_graph_file_is_an_error() {
     let back = read_graph_from(Cursor::new(buf.clone())).unwrap();
     assert_eq!(back.len(), 3);
     // truncated payload
-    assert!(read_graph_from(Cursor::new(&buf[..buf.len() / 2])).is_err());
+    let err = read_graph_from(Cursor::new(&buf[..buf.len() / 2])).unwrap_err();
+    assert!(err.is_corruption(), "truncation: {err}");
     // garbage header
-    assert!(read_graph_from(Cursor::new(vec![0xFFu8; 16])).is_err());
+    let err = read_graph_from(Cursor::new(vec![0xFFu8; 16])).unwrap_err();
+    assert!(err.is_corruption(), "garbage: {err}");
+    // a flipped payload bit
+    let mut flipped = buf.clone();
+    let last = flipped.len() - 7;
+    flipped[last] ^= 0x04;
+    let err = read_graph_from(Cursor::new(flipped)).unwrap_err();
+    assert!(err.is_corruption(), "bit flip: {err}");
 }
 
 // ------------------------------------------------------- shape mismatches

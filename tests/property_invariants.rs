@@ -58,9 +58,8 @@ proptest! {
     #[test]
     fn native_round_trip_preserves_data(rows in dataset(12, 8)) {
         let vs = VectorSet::from_rows(rows).unwrap();
-        let mut buf = Vec::new();
-        vecstore::io::write_native_to(&mut buf, &vs).unwrap();
-        let back = vecstore::io::read_native_from(std::io::Cursor::new(buf)).unwrap();
+        let buf = vecstore::io::vector_set_to_bytes(&vs);
+        let back = vecstore::io::vector_set_from_bytes(&buf).unwrap();
         prop_assert_eq!(back, vs);
     }
 
